@@ -16,13 +16,14 @@ from typing import Iterator, Sequence
 from .core import (
     InternalError,
     LatinSquare,
+    OutlineRectangle,
     Partition,
     PreconditionError,
     SubsquareCertificate,
+    validate_outline,
     verify_realization,
 )
 from .lift import lift_to_realization
-from .core import OutlineRectangle, validate_outline
 
 # Every use of the completion solver, for auditing which inputs ever reach
 # the final fallback branch.

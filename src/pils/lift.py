@@ -11,11 +11,15 @@ any infeasibility is an internal invariant violation.
 Splits are performed in a fixed order (rows, then columns, then symbols,
 lowest index first, one unit at a time) with a deterministic flow solver, so
 lifting is a pure function of its input.
+
+While rows and columns are split, every cell is held as a map from symbol
+(0-based) to its count, the sparse multiplicity row the flow solver takes,
+so a split neither expands a cell to h_i * h_j entries nor recounts one.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -319,35 +323,57 @@ def extract_exact_degree_subgraph(graph: BipartiteMultigraph,
 # Splits on outline rectangles
 
 
-def _row_extraction(row_cells: Sequence[Sequence[int]], a: int,
+def _counts(cell: Sequence[int], singles: Sequence[dict[int, int]],
+            ) -> dict[int, int]:
+    """A multiset of symbols (1-based) as a count map keyed by symbol - 1."""
+    counts: dict[int, int] = {}
+    for s in cell:
+        counts[s - 1] = counts.get(s - 1, 0) + 1
+    return _shared(counts, singles)
+
+
+def _symbols(counts: dict[int, int]) -> list[int]:
+    """The inverse of :func:`_counts`: a sorted list of 1-based symbols."""
+    return [s + 1 for s in sorted(counts) for _ in range(counts[s])]
+
+
+def _shared(cell: dict[int, int], singles: Sequence[dict[int, int]],
+            ) -> dict[int, int]:
+    """``cell``, or the shared map in ``singles`` if it holds one symbol once.
+
+    Count maps are never changed in place, so the n^2 single-symbol cells
+    left after all line splits can share one map per symbol.
+    """
+    if len(cell) == 1:
+        for s, m in cell.items():
+            if m == 1:
+                return singles[s]
+    return cell
+
+
+def _row_extraction(row_cells: Sequence[dict[int, int]], a: int,
                     col_parts: Sequence[int], sym_parts: Sequence[int],
-                    ) -> tuple[list[list[int]], list[list[int]]]:
-    """Split ``a`` units off one row-class; returns (unit cells, rest cells)."""
-    t = len(sym_parts)
-    rows = []
-    for cell in row_cells:
-        counts: dict[int, int] = {}
-        for s in cell:
-            counts[s - 1] = counts.get(s - 1, 0) + 1
-        rows.append(counts)
-    left_targets = [a * q for q in col_parts]
-    right_targets = [a * r for r in sym_parts]
-    taken = _solve_extraction(rows, left_targets, right_targets)
-    new_cells: list[list[int]] = []
-    rest_cells: list[list[int]] = []
+                    singles: Sequence[dict[int, int]],
+                    ) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """Split ``a`` units off one row-class; returns (unit cells, rest cells).
+
+    Cells are count maps without zero counts, as :func:`_counts` makes them.
+    """
+    taken = _solve_extraction(row_cells, [a * q for q in col_parts],
+                              [a * r for r in sym_parts])
+    unit_cells: list[dict[int, int]] = []
+    rest_cells: list[dict[int, int]] = []
     for cell, got in zip(row_cells, taken):
-        picked: list[int] = []
-        for j, m in sorted(got.items()):
-            picked.extend([j + 1] * m)
-        remaining = Counter(cell)
-        for s in picked:
-            remaining[s] -= 1
-        rest = []
-        for s in sorted(remaining):
-            rest.extend([s] * remaining[s])
-        new_cells.append(picked)
-        rest_cells.append(rest)
-    return new_cells, rest_cells
+        rest = dict(cell)
+        for s, m in got.items():
+            left = rest[s] - m
+            if left:
+                rest[s] = left
+            else:
+                del rest[s]
+        unit_cells.append(_shared(got, singles))
+        rest_cells.append(_shared(rest, singles))
+    return unit_cells, rest_cells
 
 
 def split_row(outline: OutlineRectangle, i: int, a: int) -> OutlineRectangle:
@@ -360,11 +386,13 @@ def split_row(outline: OutlineRectangle, i: int, a: int) -> OutlineRectangle:
         raise PreconditionError(f"row {i} has part 1, nothing to split")
     if not 1 <= a < p:
         raise PreconditionError(f"need 1 <= a < {p}, got {a}")
+    singles = [{s: 1} for s in range(outline.sym_partition.k)]
     unit, rest = _row_extraction(
-        outline.cells[i - 1], a, outline.col_partition.parts,
-        outline.sym_partition.parts)
+        [_counts(c, singles) for c in outline.cells[i - 1]], a,
+        outline.col_partition.parts, outline.sym_partition.parts, singles)
     new_parts = P.parts[: i - 1] + (a, p - a) + P.parts[i:]
-    new_cells = (list(outline.cells[: i - 1]) + [unit, rest]
+    new_cells = (list(outline.cells[: i - 1])
+                 + [[_symbols(c) for c in unit], [_symbols(c) for c in rest]]
                  + list(outline.cells[i:]))
     return OutlineRectangle(Partition(new_parts), outline.col_partition,
                             outline.sym_partition, new_cells)
@@ -422,15 +450,22 @@ def split_symbol(outline: OutlineRectangle, l: int, a: int) -> OutlineRectangle:
 
 
 class _LiftState:
-    """Mutable working copy: cells as symbol lists with multiplicity."""
+    """Mutable working copy of an outline during the line splits.
 
-    __slots__ = ("row_parts", "col_parts", "sym_parts", "cells")
+    Each cell is a ``{symbol - 1: count}`` map without zero counts, made once
+    from the outline's multisets.  Cells are replaced, never changed in
+    place; cells holding one symbol once are the shared maps in ``singles``.
+    """
+
+    __slots__ = ("row_parts", "col_parts", "sym_parts", "singles", "cells")
 
     def __init__(self, outline: OutlineRectangle):
         self.row_parts = list(outline.row_partition.parts)
         self.col_parts = list(outline.col_partition.parts)
         self.sym_parts = list(outline.sym_partition.parts)
-        self.cells = [[list(c) for c in row] for row in outline.cells]
+        self.singles = [{s: 1} for s in range(len(self.sym_parts))]
+        self.cells = [[_counts(c, self.singles) for c in row]
+                      for row in outline.cells]
 
     def transpose(self) -> None:
         self.row_parts, self.col_parts = self.col_parts, self.row_parts
@@ -442,7 +477,8 @@ def _split_rows_to_units(state: _LiftState) -> None:
     while i < len(state.row_parts):
         while state.row_parts[i] > 1:
             unit, rest = _row_extraction(
-                state.cells[i], 1, state.col_parts, state.sym_parts)
+                state.cells[i], 1, state.col_parts, state.sym_parts,
+                state.singles)
             state.cells[i] = unit
             state.cells.insert(i + 1, rest)
             state.row_parts[i : i + 1] = [1, state.row_parts[i] - 1]
@@ -487,7 +523,6 @@ def _perfect_matching(adj: list[list[int]], n: int) -> list[int]:
                 "outline being lifted is corrupt")
         x, j = last_row, free_col
         while True:
-            prev = match_row[x]
             match_row[x] = j
             match_col[j] = x
             if x == i:
@@ -541,7 +576,7 @@ def lift(outline: OutlineRectangle) -> LatinSquare:
     state.transpose()
     _split_rows_to_units(state)
     state.transpose()
-    labels = [[cell[0] for cell in row] for row in state.cells]
+    labels = [[next(iter(cell)) + 1 for cell in row] for row in state.cells]
     grid = _split_symbols_to_units(labels, state.sym_parts)
     square = LatinSquare(grid)
     check = core_reduce(square, outline.row_partition, outline.col_partition,

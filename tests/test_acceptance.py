@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete.  Time budgets are asserted where the criterion states one.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -30,6 +31,13 @@ from pils.cli import main, outline_from_json
 from pils.oracle import enumerate_partitions, find_realization_bruteforce
 from reference import REFERENCE_OUTLINE_CELLS, REFERENCE_SQUARE
 from util import random_latin_square, random_partition
+
+# sha256 over the squares of criteria 2 and 4, in order; a change that alters
+# any square on purpose re-pins these and says why
+SWEEP_DIGEST = \
+    "2a1c831de098e8ec531dd61f7129d65a88e2d1d0d5309b2e6b4469fb0f304fe8"
+ROUND_TRIP_DIGEST = \
+    "58cb68e17eab38efec7c5585bcbcb2f2d2bd516fc9566c0d5ba16cbc70409d16"
 
 
 @contextmanager
@@ -69,6 +77,7 @@ def test_criterion_2_three_equal_largest_sweep():
     with criterion(2, "construct_main sweep n <= 30"):
         start = time.monotonic()
         built = 0
+        digest = hashlib.sha256()
         for n in range(3, 31):
             for partition in enumerate_partitions(n):
                 parts = partition.parts
@@ -76,8 +85,11 @@ def test_criterion_2_three_equal_largest_sweep():
                     continue
                 square, certificate, _ = construct_main(partition)
                 verify_realization(square, partition)
+                digest.update(repr((partition.parts, square.grid)).encode())
                 built += 1
         assert built == 1885
+        # golden hash: a refactor must leave every square byte-identical
+        assert digest.hexdigest() == SWEEP_DIGEST
         assert time.monotonic() - start < 900
 
 
@@ -111,6 +123,7 @@ def test_criterion_3_reference_example(tmp_path, capsys):
 def test_criterion_4_lift_round_trip():
     with criterion(4, "100 random reduce/lift round trips"):
         rng = random.Random(20260808)
+        digest = hashlib.sha256()
         for _ in range(100):
             n = rng.randint(1, 20)
             square = random_latin_square(n, rng)
@@ -118,6 +131,8 @@ def test_criterion_4_lift_round_trip():
             outline = reduce(square, P, Q, R)
             lifted = lift(outline)
             assert reduce(lifted, P, Q, R).cells == outline.cells
+            digest.update(repr(lifted.grid).encode())
+        assert digest.hexdigest() == ROUND_TRIP_DIGEST
 
 
 def test_criterion_5_circulant_property_audit():

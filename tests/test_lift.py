@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pils import (
     BipartiteMultigraph,
@@ -35,6 +36,19 @@ def reference_outline() -> OutlineRectangle:
                             Partition(REDUCTION_COLS),
                             Partition(REDUCTION_SYMS),
                             REFERENCE_OUTLINE_CELLS)
+
+
+@st.composite
+def compositions(draw, n: int) -> Partition:
+    """An ordered partition of n, cut wherever a drawn flag is set."""
+    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    parts = [1]
+    for cut in cuts:
+        if cut:
+            parts.append(1)
+        else:
+            parts[-1] += 1
+    return Partition(parts)
 
 
 def all_subgraph_degrees(mult):
@@ -191,6 +205,21 @@ class TestLift:
             P, Q, R = (random_partition(n, rng) for _ in range(3))
             outline = reduce(sq, P, Q, R)
             assert reduce(lift(outline), P, Q, R).cells == outline.cells
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        rng = data.draw(st.randoms(use_true_random=False))
+        sq = random_latin_square(n, rng)
+        P, Q, R = (data.draw(compositions(n), label=name) for name in "PQR")
+        outline = reduce(sq, P, Q, R)
+        assert reduce(lift(outline), P, Q, R).cells == outline.cells
+        splittable = [i for i in range(1, P.k + 1) if P.part(i) > 1]
+        if splittable:
+            i = data.draw(st.sampled_from(splittable), label="row")
+            a = data.draw(st.integers(1, P.part(i) - 1), label="a")
+            assert validate_outline(split_row(outline, i, a)) == []
 
 
 class TestLiftToRealization:
