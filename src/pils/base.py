@@ -13,6 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+from .compose import add_on_step
 from .core import (
     InternalError,
     LatinSquare,
@@ -20,6 +21,7 @@ from .core import (
     Partition,
     PreconditionError,
     SubsquareCertificate,
+    reduce as core_reduce,
     validate_outline,
     verify_realization,
 )
@@ -566,13 +568,14 @@ class _CompletionBudget(InternalError):
 
 def two_size_fallback(partition: Partition,
                       ) -> tuple[LatinSquare, SubsquareCertificate]:
-    """Realize a^u b^v with u >= 3 when the main pipeline cannot.
+    """Realize a^u b^v with u >= 3 when the circulant pipeline cannot.
 
-    Uniform inputs delegate to ls_uniform.  Otherwise the circulant pipeline
-    is attempted, then a single add-on step over the uniform base (b^k),
-    whose own bound is the complement of the pipeline's hypothesis at level
-    u; the outline-completion search only handles the residue where the
-    pipeline's hypothesis holds but its seed parameters land out of range.
+    Callers run the pipeline first; this does not.  Uniform inputs delegate
+    to ls_uniform.  Otherwise a single add-on step over the uniform base
+    (b^k), whose own bound is the complement of the pipeline's hypothesis at
+    level u; the outline-completion search only handles the residue where
+    the pipeline's hypothesis holds but its seed parameters land out of
+    range.
     """
     parts = partition.parts
     if not partition.is_non_increasing():
@@ -588,46 +591,20 @@ def two_size_fallback(partition: Partition,
     if parts.count(sizes[0]) < 3:
         raise PreconditionError(
             "fallback needs at least three parts of the larger size")
-
-    from .engine import attempt_pipeline
-
-    try:
-        square, certificate, _ = attempt_pipeline(partition)
-        return square, certificate
-    except PreconditionError:
-        pass
-    got = _two_size_add_on(partition)
-    if got is not None:
-        return got
-    outline = _complete_outline_square(partition)
-    return lift_to_realization(outline, partition)
+    return lift_to_realization(_two_size_outline(partition), partition)
 
 
-def _two_size_add_on(partition: Partition,
-                     ) -> tuple[LatinSquare, SubsquareCertificate] | None:
-    """One add-on step over the uniform base, when its bound allows it."""
-    from .compose import (
-        add_on_outline,
-        array_from_outline_square,
-        scale_outline_array,
-        square_from_array,
-        sum_outline_arrays,
-    )
-    from .core import reduce as core_reduce
-
+def _two_size_outline(partition: Partition) -> OutlineRectangle:
+    """An outline square for a^u b^v (u >= 3, a > b): the add-on step at
+    level u over the uniform base when its bound allows it, otherwise the
+    completion search."""
     parts = partition.parts
     a, b = parts[0], parts[-1]
     u = parts.count(a)
     v = partition.k - u
     if (v - 1) * b > (u - 1) * a + (u - 2) * b:
-        return None
-    k = partition.k
-    base_square, _ = ls_uniform(b, k)
-    uniform = Partition([b] * k)
-    body = array_from_outline_square(
-        core_reduce(base_square, uniform, uniform, uniform),
-        drop_diagonal=True)
-    addon = add_on_outline(u, [b] * v, a)
-    combined = sum_outline_arrays(body, scale_outline_array(addon, a - b))
-    outline = square_from_array(combined, partition)
-    return lift_to_realization(outline, partition)
+        return _complete_outline_square(partition)
+    uniform = Partition([b] * partition.k)
+    base_square, _ = ls_uniform(b, partition.k)
+    body = core_reduce(base_square, uniform, uniform, uniform)
+    return add_on_step(body, partition, u)

@@ -8,8 +8,9 @@ and F(l,j) times in column j.  An outline square associated to a partition
 
 The operations here are the ones the induction needs: cellwise sums,
 amalgamation along a set partition of the classes, the add-on array built
-from small one-big-block realizations, and the blow-up that grows the three
-leading classes of an outline square from h1 to g.
+from small one-big-block realizations, the induction step that adds it to an
+outline square, and the blow-up that grows the three leading classes of an
+outline square from h1 to g.
 """
 
 from __future__ import annotations
@@ -248,6 +249,28 @@ def _one_share_array(m: int, k: int, share: Sequence[int]) -> OutlineArray:
     if bad:
         raise InternalError(f"share array invalid: {bad[0]}")
     return array
+
+
+def add_on_step(outline: OutlineRectangle, target: Partition, level: int,
+                ) -> OutlineRectangle:
+    """One step of the induction: from an outline square for
+    (h_{l+1}^{l+1} h_{l+2} .. h_k) to one for ``target`` = (h_l^l h_{l+1}
+    .. h_k), l = ``level``, by adding (h_l - h_{l+1}) add-on arrays to its
+    off-diagonal body."""
+    parts = target.parts
+    copies = parts[level - 1] - parts[level]
+    body = array_from_outline_square(outline, drop_diagonal=True)
+    addon = add_on_outline(level, parts[level:], parts[level - 1])
+    combined = sum_outline_arrays(body, scale_outline_array(addon, copies))
+    freq = combined.frequency()
+    for i in range(1, target.k + 1):
+        for j in range(1, target.k + 1):
+            want = 0 if i == j else target.part(i) * target.part(j)
+            if freq.at(i, j) != want:
+                raise InternalError(
+                    f"combined array has F({i},{j}) = {freq.at(i, j)}, "
+                    f"wanted {want}")
+    return square_from_array(combined, target)
 
 
 # ---------------------------------------------------------------------------

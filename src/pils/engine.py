@@ -12,19 +12,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .base import ls_uniform, two_size_fallback
+from .base import _two_size_outline, ls_uniform
 from .circulant import even_r_outline, odd_r_outline
-from .compose import (
-    add_on_outline,
-    array_from_outline_square,
-    blow_up,
-    scale_outline_array,
-    square_from_array,
-    sum_outline_arrays,
-)
+from .compose import add_on_step, blow_up
 from .core import (
     InternalError,
     LatinSquare,
+    OutlineRectangle,
     Partition,
     PreconditionError,
     SubsquareCertificate,
@@ -110,9 +104,11 @@ def select_t(h1: int, h4: int, hk: int, r: int,
 
 
 def attempt_pipeline(partition: Partition,
-                     ) -> tuple[LatinSquare, SubsquareCertificate, dict]:
-    """Circulant seed, blow-up to h1, lift; raises PreconditionError when
-    the partition's parameters fall outside the seed constructions."""
+                     ) -> tuple[OutlineRectangle, dict]:
+    """Circulant seed and blow-up to h1: an outline square for the
+    partition, not yet lifted, and the seed parameters.  Raises
+    PreconditionError when the partition's parameters fall outside the seed
+    constructions."""
     parts = partition.parts
     if len(parts) < 4:
         raise PreconditionError("pipeline needs a tail beyond three classes")
@@ -131,10 +127,9 @@ def attempt_pipeline(partition: Partition,
         outline, beta1, beta2 = even_r_outline(seed)
         parity = "even"
     blown = blow_up(outline, h1, beta1, beta2)
-    square, certificate = lift_to_realization(blown, partition)
     info = {"t": t, "parity": parity, "beta1": beta1, "beta2": beta2,
             "g": h1}
-    return square, certificate, info
+    return blown, info
 
 
 def construct_m_equal(partition: Partition, m: int | None = None,
@@ -144,9 +139,22 @@ def construct_m_equal(partition: Partition, m: int | None = None,
 
     With m unspecified the smallest m in [3, run of equal leading parts]
     whose hypothesis holds is used.  Partitions with at most two distinct
-    sizes fall back to the search-based constructor when the circulant
-    parameters are out of range.
+    sizes fall back to the two-size constructor when the circulant
+    parameters are out of range.  The chosen route's outline square is
+    lifted once; uniform inputs return ls_uniform's square itself.
     """
+    outline, trace = _m_equal_outline(partition, m)
+    if outline is None:
+        square, certificate = ls_uniform(partition.part(1), partition.k)
+    else:
+        square, certificate = lift_to_realization(outline, partition)
+    return square, certificate, trace
+
+
+def _m_equal_outline(partition: Partition, m: int | None,
+                     ) -> tuple[OutlineRectangle | None, ConstructionTrace]:
+    """construct_m_equal's checks and route choice, stopping at the outline
+    square; None for uniform inputs, which need no lift."""
     parts = partition.parts
     if not partition.is_non_increasing():
         raise PreconditionError("partition must be sorted non-increasing")
@@ -179,18 +187,17 @@ def construct_m_equal(partition: Partition, m: int | None = None,
     trace = ConstructionTrace(parts)
     distinct = len(set(parts))
     if distinct == 1:
-        square, certificate = ls_uniform(parts[0], k)
         trace.add("uniform", a=parts[0], k=k)
-        return square, certificate, trace
+        return None, trace
     try:
-        square, certificate, info = attempt_pipeline(partition)
+        outline, info = attempt_pipeline(partition)
         trace.add("circulant-pipeline", m=chosen, **info)
-        return square, certificate, trace
+        return outline, trace
     except PreconditionError as exc:
         if distinct <= 2:
-            square, certificate = two_size_fallback(partition)
+            outline = _two_size_outline(partition)
             trace.add("two-size-fallback", m=chosen, reason=str(exc))
-            return square, certificate, trace
+            return outline, trace
         raise InternalError(
             f"pipeline rejected a three-size partition {partition}: {exc}"
         ) from exc
@@ -201,11 +208,12 @@ def construct_main(partition: Partition,
                               ConstructionTrace]:
     """Realize any (h_m^m h_{m+1} .. h_k) with m >= 3 equal largest parts.
 
-    Downward induction from the uniform base (h_k^k): at each step either
-    rebuild outright through the circulant pipeline (when its hypothesis
-    holds) or add (h_l - h_{l+1}) add-on arrays to the reduction of the
-    previous realization and lift.  Steps whose source and target partitions
-    coincide are skipped, as are steps that a later rebuild discards.
+    Downward induction on outline squares from the uniform base (h_k^k): at
+    each step either rebuild outright through the circulant pipeline (when
+    its hypothesis holds) or add (h_l - h_{l+1}) add-on arrays to the
+    previous outline square.  Steps whose source and target partitions
+    coincide are skipped, as are steps that a later rebuild discards.  Only
+    the final outline square becomes a latin square: lift once at the end.
     """
     parts = partition.parts
     if not partition.is_non_increasing():
@@ -239,61 +247,41 @@ def construct_main(partition: Partition,
                 if parts[level - 1] > parts[level] and jl_holds(level)]
     start = min(rebuilds) if rebuilds else None
 
-    square = certificate = None
+    outline = None
     current_level = k
     if start is not None:
         # everything above the last rebuild is discarded by it, so try to
         # begin there outright
         try:
-            square, certificate, inner = construct_m_equal(
-                level_partition(start), m=start)
+            outline, inner = _m_equal_outline(level_partition(start), start)
             trace.add("rebuild", level=start, inner=inner.steps)
             current_level = start
-        except (PreconditionError, InternalError):
+        except (PreconditionError, InternalError) as exc:
             # a gap instance of the even construction; walk the full chain
-            square = None
-    if square is None:
-        square, certificate = ls_uniform(parts[k - 1], k)
+            trace.add("rebuild-failed", level=start,
+                      error=type(exc).__name__, reason=str(exc))
+    if outline is None:
+        uniform = Partition([parts[k - 1]] * k)
+        base_square, _ = ls_uniform(parts[k - 1], k)
+        outline = reduce_square(base_square, uniform, uniform, uniform)
         trace.add("uniform-base", a=parts[k - 1], k=k)
-        current_level = k
 
     for level in range(current_level - 1, m - 1, -1):
         if parts[level - 1] == parts[level]:
-            # same multiset of parts: the previous realization already works
+            # same multiset of parts: the previous outline already works
             trace.add("skip-equal", level=level)
             continue
-        prev = level_partition(level + 1)
         target = level_partition(level)
         if jl_holds(level) and not addon_bound_holds(level):
             # the proof's branch for this level; no add-on fallback exists
-            square, certificate, inner = construct_m_equal(target, m=level)
+            outline, inner = _m_equal_outline(target, level)
             trace.add("rebuild", level=level, inner=inner.steps)
             continue
-        square, certificate = _add_on_step(square, prev, target, level, trace)
+        outline = add_on_step(outline, target, level)
+        trace.add("add-on", level=level,
+                  copies=parts[level - 1] - parts[level])
+    square, certificate = lift_to_realization(outline, partition)
     return square, certificate, trace
-
-
-def _add_on_step(square: LatinSquare, prev: Partition, target: Partition,
-                 level: int, trace: ConstructionTrace,
-                 ) -> tuple[LatinSquare, SubsquareCertificate]:
-    parts = target.parts
-    copies = parts[level - 1] - parts[level]
-    reduced = reduce_square(square, prev, prev, prev)
-    body = array_from_outline_square(reduced, drop_diagonal=True)
-    addon = add_on_outline(level, parts[level:], parts[level - 1])
-    combined = sum_outline_arrays(body, scale_outline_array(addon, copies))
-    freq = combined.frequency()
-    for i in range(1, target.k + 1):
-        for j in range(1, target.k + 1):
-            want = 0 if i == j else target.part(i) * target.part(j)
-            if freq.at(i, j) != want:
-                raise InternalError(
-                    f"combined array has F({i},{j}) = {freq.at(i, j)}, "
-                    f"wanted {want}")
-    outline = square_from_array(combined, target)
-    out, certificate = lift_to_realization(outline, target)
-    trace.add("add-on", level=level, copies=copies)
-    return out, certificate
 
 
 def construct_ils(n: int, orders: Sequence[int],

@@ -32,10 +32,13 @@ from pils.oracle import enumerate_partitions, find_realization_bruteforce
 from reference import REFERENCE_OUTLINE_CELLS, REFERENCE_SQUARE
 from util import random_latin_square, random_partition
 
-# sha256 over the squares of criteria 2 and 4, in order; a change that alters
-# any square on purpose re-pins these and says why
+# sha256 over the squares of criteria 2 and 4, in order, and over the traces
+# of criterion 2; a change that alters any square or trace on purpose re-pins
+# these and says why
 SWEEP_DIGEST = \
     "2a1c831de098e8ec531dd61f7129d65a88e2d1d0d5309b2e6b4469fb0f304fe8"
+SWEEP_TRACE_DIGEST = \
+    "449c3936a67fba41bc7bf7b5b41ba7c3237c65bfa53846c735914d8204a7f16f"
 ROUND_TRIP_DIGEST = \
     "58cb68e17eab38efec7c5585bcbcb2f2d2bd516fc9566c0d5ba16cbc70409d16"
 
@@ -78,18 +81,21 @@ def test_criterion_2_three_equal_largest_sweep():
         start = time.monotonic()
         built = 0
         digest = hashlib.sha256()
+        trace_digest = hashlib.sha256()
         for n in range(3, 31):
             for partition in enumerate_partitions(n):
                 parts = partition.parts
                 if partition.k < 3 or parts[0] != parts[2]:
                     continue
-                square, certificate, _ = construct_main(partition)
+                square, certificate, trace = construct_main(partition)
                 verify_realization(square, partition)
                 digest.update(repr((partition.parts, square.grid)).encode())
+                trace_digest.update(trace.to_json().encode())
                 built += 1
         assert built == 1885
         # golden hash: a refactor must leave every square byte-identical
         assert digest.hexdigest() == SWEEP_DIGEST
+        assert trace_digest.hexdigest() == SWEEP_TRACE_DIGEST
         assert time.monotonic() - start < 900
 
 

@@ -124,9 +124,14 @@ class TestTransversalMachinery:
 
 
 class TestTwoSizeFallback:
-    def test_three_three(self):
-        sq, cert = two_size_fallback(Partition([3, 3, 3, 1, 1, 1]))
-        verify_realization(sq, Partition([3, 3, 3, 1, 1, 1]))
+    @pytest.mark.parametrize("parts", [
+        (3, 3, 3, 1, 1, 1),      # one add-on step over (1^6)
+        (2, 2, 2) + (1,) * 8,    # past the add-on bound: completion search
+    ], ids=["add-on", "completion"])
+    def test_two_routes(self, parts):
+        P = Partition(parts)
+        sq, cert = two_size_fallback(P)
+        verify_realization(sq, P)
 
     def test_uniform_delegates(self):
         sq, cert = two_size_fallback(Partition([2, 2, 2, 2]))

@@ -1,6 +1,9 @@
+import importlib
+
 import pytest
 
 from pils import (
+    InternalError,
     Partition,
     PreconditionError,
     construct_ils,
@@ -102,6 +105,47 @@ class TestConstructMain:
         ops = [s["op"] for s in trace.steps]
         assert ops[0] in ("uniform-base", "rebuild")
         assert "add-on" in ops
+
+    @pytest.mark.parametrize("parts", [
+        (4, 4, 4, 3, 2, 1),            # uniform base, then three add-ons
+        (4, 4, 4, 2) + (1,) * 10,      # rebuild, then one add-on
+    ])
+    def test_lifts_once(self, parts, monkeypatch):
+        lift_module = importlib.import_module("pils.lift")
+        original = lift_module.lift
+        calls = []
+
+        def counting(outline):
+            calls.append(outline)
+            return original(outline)
+
+        monkeypatch.setattr(lift_module, "lift", counting)
+        P = Partition(parts)
+        sq, _, _ = construct_main(P)
+        verify_realization(sq, P)
+        assert len(calls) == 1
+
+    def test_failed_rebuild_is_traced(self, monkeypatch):
+        engine = importlib.import_module("pils.engine")
+        original = engine._m_equal_outline
+        failures = []
+
+        def fail_once(partition, m):
+            if not failures:
+                failures.append(m)
+                raise InternalError("injected")
+            return original(partition, m)
+
+        monkeypatch.setattr(engine, "_m_equal_outline", fail_once)
+        P = Partition((4, 4, 4, 2) + (1,) * 10)
+        sq, _, trace = construct_main(P)
+        verify_realization(sq, P)
+        assert failures == [4]
+        assert trace.steps[:2] == [
+            {"op": "rebuild-failed", "level": 4, "error": "InternalError",
+             "reason": "injected"},
+            {"op": "uniform-base", "a": 1, "k": 14},
+        ]
 
 
 class TestConstructIls:
