@@ -545,12 +545,13 @@ def _complete_outline_square(partition: Partition,
         chosen.append(placement)
         level += 1
 
-    cells: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(k)]
+    cells: list[list[dict[int, int]]] = [[{} for _ in range(k)]
+                                         for _ in range(k)]
     for i in range(k):
-        cells[i][i] = [i + 1] * (parts[i] * parts[i])
+        cells[i][i][i + 1] = parts[i] * parts[i]
     for l, placement in zip(order, chosen):
         for i, j, v in placement:
-            cells[i][j].extend([l + 1] * v)
+            cells[i][j][l + 1] = v
     outline = OutlineRectangle(partition, partition, partition, cells)
     bad = validate_outline(outline)
     if bad:

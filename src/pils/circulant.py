@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    Counts,
     InternalError,
     OutlineRectangle,
     Partition,
     PreconditionError,
+    _amalgamate,
     is_latin,
     validate_outline,
 )
@@ -231,9 +233,10 @@ def build_circulant_outline(partition: Partition,
 
     ones = Partition([1] * n)
     sym_partition = Partition([1] * h1 + list(parts[1:]))
+    singles = [{v: 1} for v in range(sym_partition.k + 1)]
     outline = OutlineRectangle(
         ones, ones, sym_partition,
-        [[(labels[i][j],) for j in range(n)] for i in range(n)])
+        [[singles[v] for v in row] for row in labels])
     bad = validate_outline(outline)
     if bad:
         raise InternalError(f"circulant outline invalid: {bad[0]}")
@@ -304,24 +307,6 @@ def check_circulant_properties(outline: OutlineRectangle,
 # Outline squares with three equal leading classes
 
 
-def _amalgamate_singleton_outline(outline: OutlineRectangle,
-                                  row_map: Sequence[int],
-                                  col_map: Sequence[int],
-                                  sym_map: Sequence[int],
-                                  shape: int) -> list[list[list[int]]]:
-    """Merge an all-singleton outline along 1-based index maps."""
-    cells: list[list[list[int]]] = [[[] for _ in range(shape)]
-                                    for _ in range(shape)]
-    raw = outline.cells
-    n = len(raw)
-    for i in range(n):
-        ri = row_map[i + 1] - 1
-        row = raw[i]
-        for j in range(n):
-            cells[ri][col_map[j + 1] - 1].append(sym_map[row[j][0]])
-    return cells
-
-
 def odd_r_outline(partition: Partition) -> OutlineRectangle:
     """Outline square for (h,h,h,h4..hk) with odd tail sum.
 
@@ -367,35 +352,33 @@ def odd_r_outline(partition: Partition) -> OutlineRectangle:
         sym_map[v] = (v - 1) // h + 1
     for i in range(2, k - 1):
         sym_map[3 * h + i - 1] = i + 2
-    cells = _amalgamate_singleton_outline(circ, row_map, row_map, sym_map, k)
+    cells = _amalgamate(circ.counts, row_map, row_map, sym_map, (k, k))
 
     hh = h * h
     corner = {(1, 1): 1, (2, 2): 2, (3, 3): 3,
               (1, 2): 3, (2, 1): 3, (1, 3): 2, (3, 1): 2, (2, 3): 1,
               (3, 2): 1}
     for (i, j), sym in corner.items():
-        cells[i - 1][j - 1] = [sym] * hh
+        cells[i - 1][j - 1] = {sym: hh}
 
     outline = OutlineRectangle(partition, partition, partition, cells)
     bad = validate_outline(outline)
     if bad:
         raise InternalError(f"odd-r outline invalid: {bad[0]}")
     for i in range(1, k + 1):
-        hi = partition.part(i)
-        if outline.cell(i, i) != (i,) * (hi * hi):
+        if outline.counts[i - 1][i - 1] != {i: partition.part(i) ** 2}:
             raise InternalError(f"odd-r diagonal cell ({i},{i}) wrong")
     return outline
 
 
-def even_r_outline(partition: Partition, debug: bool = False,
+def even_r_outline(partition: Partition,
                    ) -> tuple[OutlineRectangle, int, int]:
     """Outline square for (h,h,h,h4..hk) with even tail sum, plus betas.
 
     One cyclic orientation of the corner carries exactly h^2 spare copies
     (beta1); the other offers at least h(h-1) - 2(hk - 1) after two trades
     route the final block's stray symbols through it (actual count returned
-    as beta2).  With ``debug`` the intermediate array is re-validated before
-    and after the trade batch.
+    as beta2).
     """
     parts = partition.parts
     if len(parts) < 4:
@@ -470,13 +453,10 @@ def even_r_outline(partition: Partition, debug: bool = False,
             return sym_group[v]
         return k if v == 3 * h + 1 else v - shift
 
-    cells: list[list[list[int]]] = [[[] for _ in range(R)] for _ in range(R)]
-    raw = circ.cells
-    for i in range(1, n + 1):
-        ri = row_final(i) - 1
-        row = raw[i - 1]
-        for j in range(1, n + 1):
-            cells[ri][col_final(j) - 1].append(sym_final(row[j - 1][0]))
+    row_map = [0] + [row_final(x) for x in range(1, n + 1)]
+    col_map = [0] + [col_final(x) for x in range(1, n + 1)]
+    sym_map = [0] + [sym_final(v) for v in range(1, circ.sym_partition.k + 1)]
+    cells = _amalgamate(circ.counts, row_map, col_map, sym_map, (R, R))
 
     corner_idx = (1, 2, 3, R)
     for i in corner_idx:
@@ -486,28 +466,28 @@ def even_r_outline(partition: Partition, debug: bool = False,
                     f"corner cell ({i},{j}) holds a non-corner symbol")
     hh1 = h * (h - 1)
     substitution = {
-        (1, 1): [1] * (h * h), (1, 2): [3] * (h * h),
-        (1, 3): [2] * hh1 + [k] * h, (1, R): [2] * h,
-        (2, 1): [3] * hh1 + [k] * h, (2, 2): [2] * (h * h),
-        (2, 3): [1] * (h * h), (2, R): [3] * h,
-        (3, 1): [2] * (h * h), (3, 2): [1] * hh1 + [k] * h,
-        (3, 3): [3] * (h * h), (3, R): [1] * h,
-        (R, 1): [3] * h, (R, 2): [1] * h, (R, 3): [2] * h, (R, R): [k],
+        (1, 1): {1: h * h}, (1, 2): {3: h * h},
+        (1, 3): {2: hh1, k: h}, (1, R): {2: h},
+        (2, 1): {3: hh1, k: h}, (2, 2): {2: h * h},
+        (2, 3): {1: h * h}, (2, R): {3: h},
+        (3, 1): {2: h * h}, (3, 2): {1: hh1, k: h},
+        (3, 3): {3: h * h}, (3, R): {1: h},
+        (R, 1): {3: h}, (R, 2): {1: h}, (R, 3): {2: h}, (R, R): {k: 1},
     }
     for (i, j), content in substitution.items():
-        cells[i - 1][j - 1] = list(content)
+        cells[i - 1][j - 1] = content
 
     t1 = [(x - shift, y - shift, sym_final(z))
           for x, y, z in triple_sets[0].triples]
     t2 = [(x - shift, y - shift, sym_final(z))
           for x, y, z in triple_sets[1].triples]
     for x, y, z in t1:
-        if cells[x - 1][y - 1] != [2]:
+        if cells[x - 1][y - 1] != {2: 1}:
             raise InternalError(f"first triple cell ({x},{y}) is not {{2}}")
         if z not in cells[0][y - 1] or z not in cells[x - 1][2]:
             raise InternalError("first triple lines lost their symbol")
     for x, y, z in t2:
-        if cells[x - 1][y - 1] != [1]:
+        if cells[x - 1][y - 1] != {1: 1}:
             raise InternalError(f"second triple cell ({x},{y}) is not {{1}}")
         if z not in cells[x - 1][1] or z not in cells[2][y - 1]:
             raise InternalError("second triple lines lost their symbol")
@@ -523,7 +503,7 @@ def even_r_outline(partition: Partition, debug: bool = False,
     def trade(triples: list[tuple[int, int, int]], transposed: bool) -> int:
         """One repair trade; returns the size of the cover used."""
 
-        def cell_at(rr: int, cc: int) -> list[int]:
+        def cell_at(rr: int, cc: int) -> Counts:
             return cells[cc - 1][rr - 1] if transposed else cells[rr - 1][cc - 1]
 
         def mv(rr: int, cc: int, remove: int, add: int) -> None:
@@ -544,7 +524,7 @@ def even_r_outline(partition: Partition, debug: bool = False,
             trips = list(triples)
         a_cols = [R - i for i in range(1, hk)]
         b_cols = [c for c in range(4, r + 3)
-                  if cell_at(R, c) == [k]]
+                  if cell_at(R, c) == {k: 1}]
         if len(b_cols) != hk - 1:
             raise InternalError(
                 f"expected {hk - 1} stray block symbols on the widowed line, "
@@ -553,14 +533,15 @@ def even_r_outline(partition: Partition, debug: bool = False,
         d_syms = []
         for a in a_cols:
             inner = [x for x in range(4, r + 3)
-                     if x not in block_k_lines and cell_at(x, a) == [k]]
+                     if x not in block_k_lines and cell_at(x, a) == {k: 1}]
             if len(inner) != 1 or inner[0] > r + 3 - hk:
                 raise InternalError("stray block symbol not unique in line")
             c_rows.append(inner[0])
             dcell = cell_at(R, a)
-            if len(dcell) != 1 or dcell[0] < 4 or dcell[0] == k:
+            d = next(iter(dcell), 0)
+            if dcell != {d: 1} or d < 4 or d == k:
                 raise InternalError(f"unexpected widowed-line cell at {a}")
-            d_syms.append(dcell[0])
+            d_syms.append(d)
 
         by_col = {y: (x, y, z) for x, y, z in trips}
         by_row = {x: (x, y, z) for x, y, z in trips}
@@ -617,15 +598,6 @@ def even_r_outline(partition: Partition, debug: bool = False,
         delta[key][k] -= hk - 1
         return u
 
-    def probe_intermediate(stage: str) -> None:
-        mid = Partition((h, h, h) + (1,) * r)
-        bad_mid = validate_outline(
-            OutlineRectangle(mid, mid, partition, cells))
-        if bad_mid:
-            raise InternalError(f"even-r {stage} state invalid: {bad_mid[0]}")
-
-    if debug:
-        probe_intermediate("pre-trade")
     if hk >= 2:
         trade(t1, transposed=False)
         trade(t2, transposed=True)
@@ -633,16 +605,14 @@ def even_r_outline(partition: Partition, debug: bool = False,
     for (rr, cc), change in delta.items():
         if sum(change.values()) != 0:
             raise InternalError(f"trade changes cell ({rr},{cc}) size")
-        bag = Counter(cells[rr - 1][cc - 1])
-        bag.update(change)
-        if any(cnt < 0 for cnt in bag.values()):
-            missing = min(s for s, cnt in bag.items() if cnt < 0)
-            raise InternalError(
-                f"trade removes symbol {missing} from cell ({rr},{cc}) more "
-                "often than it occurs")
-        cells[rr - 1][cc - 1] = sorted(bag.elements())
-    if debug:
-        probe_intermediate("post-trade")
+        cell = cells[rr - 1][cc - 1]
+        for s, d in sorted(change.items()):
+            left = cell.get(s, 0) + d
+            if left < 0:
+                raise InternalError(
+                    f"trade removes symbol {s} from cell ({rr},{cc}) more "
+                    "often than it occurs")
+            cell[s] = left
 
     # Final row and column amalgamation to the target partition.
     line_map = [0] * (R + 1)
@@ -655,26 +625,22 @@ def even_r_outline(partition: Partition, debug: bool = False,
             pos += 1
             line_map[pos] = i
     line_map[R] = k
-    final: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(k)]
-    for i in range(1, R + 1):
-        fi = line_map[i] - 1
-        for j in range(1, R + 1):
-            final[fi][line_map[j] - 1].extend(cells[i - 1][j - 1])
+    final = _amalgamate(cells, line_map, line_map, range(k + 1), (k, k))
 
     outline = OutlineRectangle(partition, partition, partition, final)
     bad = validate_outline(outline)
     if bad:
         raise InternalError(f"even-r outline invalid: {bad[0]}")
+    counts = outline.counts
     for i in range(1, k + 1):
-        hi = partition.part(i)
-        if outline.cell(i, i) != (i,) * (hi * hi):
+        if counts[i - 1][i - 1] != {i: partition.part(i) ** 2}:
             raise InternalError(f"even-r diagonal cell ({i},{i}) wrong")
     for sym, (i, j) in ((1, (2, 3)), (2, (3, 1)), (3, (1, 2))):
-        if outline.cell(i, j) != (sym,) * (h * h):
+        if counts[i - 1][j - 1] != {sym: h * h}:
             raise InternalError(f"even-r corner cell ({i},{j}) wrong")
     beta1 = h * h
-    beta2 = min(outline.cell(1, 3).count(2), outline.cell(2, 1).count(3),
-                outline.cell(3, 2).count(1))
+    beta2 = min(counts[0][2].get(2, 0), counts[1][0].get(3, 0),
+                counts[2][1].get(1, 0))
     if beta2 < h * (h - 1) - 2 * (hk - 1):
         raise InternalError("even-r beta2 fell below its guarantee")
     return outline, beta1, beta2

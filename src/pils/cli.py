@@ -38,15 +38,26 @@ EX_USAGE = 64
 EX_INTERNAL = 70
 
 
+MAX_ORDER = 2000
+
+
 def parse_partition(text: str) -> Partition:
-    """Accept "3,3,3,2,1" or "3^3 2 1" (whitespace-insensitive)."""
+    """Accept "3,3,3,2,1" or "3^3 2 1" (whitespace-insensitive).
+
+    Orders above :data:`MAX_ORDER` are rejected before any list is built,
+    so an exponent such as ``1^100000000`` costs nothing.
+    """
     parts: list[int] = []
+    order = 0
     for token in text.replace(",", " ").split():
-        if "^" in token:
-            base, _, exp = token.partition("^")
-            parts.extend([int(base)] * int(exp))
-        else:
-            parts.append(int(token))
+        base, caret, exp = token.partition("^")
+        part, copies = int(base), int(exp) if caret else 1
+        if part < 1 or copies < 1:
+            raise ValueError(f"{token!r}: parts and exponents must be positive")
+        order += part * copies
+        if order > MAX_ORDER:
+            raise ValueError(f"order above the limit {MAX_ORDER}")
+        parts.extend([part] * copies)
     if not parts:
         raise ValueError("empty partition")
     return Partition(parts)
@@ -60,24 +71,30 @@ def read_grid(path: str) -> LatinSquare:
 
 
 def outline_to_json(outline: OutlineRectangle) -> dict:
-    cells = []
-    for i in range(1, outline.row_partition.k + 1):
-        row = []
-        for j in range(1, outline.col_partition.k + 1):
-            counts: dict[str, int] = {}
-            for s in outline.cell(i, j):
-                counts[str(s)] = counts.get(str(s), 0) + 1
-            row.append(counts)
-        cells.append(row)
     return {"rows": list(outline.row_partition.parts),
             "cols": list(outline.col_partition.parts),
             "syms": list(outline.sym_partition.parts),
-            "cells": cells}
+            "cells": [[{str(s): cell[s] for s in sorted(cell)} for cell in row]
+                      for row in outline.counts]}
 
 
-def outline_from_json(data: dict) -> OutlineRectangle:
-    cells = [[[int(sym) for sym, cnt in cell.items() for _ in range(cnt)]
-              for cell in row] for row in data["cells"]]
+def outline_from_json(data) -> OutlineRectangle:
+    """The inverse of :func:`outline_to_json`; raises ValueError on input of
+    another shape (the outline's constructor checks symbols and counts)."""
+    if not isinstance(data, dict) or not all(
+            isinstance(data.get(key), list)
+            for key in ("rows", "cols", "syms", "cells")):
+        raise ValueError("outline JSON needs lists rows, cols, syms, cells")
+    for key in ("rows", "cols", "syms"):
+        if not all(type(p) is int for p in data[key]):
+            raise ValueError(f"outline JSON {key} must list integers")
+    if not all(isinstance(row, list) and
+               all(isinstance(cell, dict) for cell in row)
+               for row in data["cells"]):
+        raise ValueError("outline JSON cells must be rows of "
+                         "{symbol: count} objects")
+    cells = [[{int(s): cnt for s, cnt in cell.items()} for cell in row]
+             for row in data["cells"]]
     return OutlineRectangle(Partition(data["rows"]), Partition(data["cols"]),
                             Partition(data["syms"]), cells)
 
@@ -208,6 +225,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_ils(args) -> int:
     orders = parse_partition(args.partition)
+    if args.n > MAX_ORDER:
+        raise ValueError(f"order above the limit {MAX_ORDER}")
     square, certificate = construct_ils(args.n, orders.parts)
     blocks = [{"rows": list(blk.rows), "cols": list(blk.cols),
                "symbols": list(blk.symbols)} for blk in certificate.blocks]

@@ -4,7 +4,9 @@ An outline array is a k x k array of symbol multisets whose cell sizes, row
 symbol counts and column symbol counts all agree with a single k x k
 frequency array F: |O(i,j)| = F(i,j), symbol l occurs F(i,l) times in row i
 and F(l,j) times in column j.  An outline square associated to a partition
-(h1..hk) is exactly an outline array for F(i,j) = hi*hj.
+(h1..hk) is exactly an outline array for F(i,j) = hi*hj.  Cells are stored
+as ``{symbol: count}`` maps, as in :class:`~pils.core.OutlineRectangle`, and
+every operation here adds, scales or merges those counts.
 
 The operations here are the ones the induction needs: cellwise sums,
 amalgamation along a set partition of the classes, the add-on array built
@@ -15,11 +17,11 @@ outline square from h1 to g.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
+    Counts,
     FrequencyArray,
     GridError,
     InternalError,
@@ -27,36 +29,44 @@ from .core import (
     OutlineRectangle,
     Partition,
     PreconditionError,
-    multiset,
+    _amalgamate,
+    _count_cells,
+    _expand,
     validate_outline,
 )
 
 
 @dataclass(frozen=True)
 class OutlineArray:
-    """A k x k array of multisets over symbols [k]."""
+    """A k x k array of multisets over symbols [k].
+
+    ``counts`` stores the cells as ``{symbol: count}`` maps without zero
+    counts, never changed after construction; the constructor takes each
+    cell as such a map or as an iterable of symbols.
+    """
 
     k: int
-    cells: tuple[tuple[Multiset, ...], ...]
+    counts: tuple[tuple[Counts, ...], ...]
 
-    def __init__(self, cells: Sequence[Sequence[Iterable[int]]]):
+    def __init__(self, cells: Sequence[Sequence[Counts | Iterable[int]]]):
         k = len(cells)
         if any(len(row) != k for row in cells):
             raise GridError("outline array must be square")
-        frozen = tuple(tuple(multiset(c) for c in row) for row in cells)
-        for row in frozen:
-            for c in row:
-                if c and (c[0] < 1 or c[-1] > k):
-                    raise GridError(f"cell symbol outside [{k}]: {c}")
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "cells", frozen)
+        object.__setattr__(self, "counts", _count_cells(cells, k))
+
+    @property
+    def cells(self) -> tuple[tuple[Multiset, ...], ...]:
+        """Every cell as a sorted tuple of symbols (a read-only view)."""
+        return tuple(tuple(_expand(c) for c in row) for row in self.counts)
 
     def cell(self, i: int, j: int) -> Multiset:
-        return self.cells[i - 1][j - 1]
+        return _expand(self.counts[i - 1][j - 1])
 
     def frequency(self) -> FrequencyArray:
         """The frequency array given by the cell sizes."""
-        return FrequencyArray([[len(c) for c in row] for row in self.cells])
+        return FrequencyArray([[sum(c.values()) for c in row]
+                               for row in self.counts])
 
 
 def validate_outline_array(array: OutlineArray) -> list[str]:
@@ -66,25 +76,27 @@ def validate_outline_array(array: OutlineArray) -> list[str]:
     array for its own frequency array.
     """
     k = array.k
+    sizes = array.frequency().entries
+    row_counts = [[0] * (k + 1) for _ in range(k)]
+    col_counts = [[0] * (k + 1) for _ in range(k)]
+    for row, counts in zip(array.counts, row_counts):
+        for cell, col in zip(row, col_counts):
+            for s, c in cell.items():
+                counts[s] += c
+                col[s] += c
     problems = []
     for i in range(1, k + 1):
-        counts: Counter = Counter()
-        for j in range(1, k + 1):
-            counts.update(array.cell(i, j))
         for l in range(1, k + 1):
-            want = len(array.cell(i, l))
-            if counts[l] != want:
+            got, want = row_counts[i - 1][l], sizes[i - 1][l - 1]
+            if got != want:
                 problems.append(
-                    f"row {i}: symbol {l} occurs {counts[l]}, F({i},{l})={want}")
+                    f"row {i}: symbol {l} occurs {got}, F({i},{l})={want}")
     for j in range(1, k + 1):
-        counts = Counter()
-        for i in range(1, k + 1):
-            counts.update(array.cell(i, j))
         for l in range(1, k + 1):
-            want = len(array.cell(l, j))
-            if counts[l] != want:
+            got, want = col_counts[j - 1][l], sizes[l - 1][j - 1]
+            if got != want:
                 problems.append(
-                    f"column {j}: symbol {l} occurs {counts[l]}, F({l},{j})={want}")
+                    f"column {j}: symbol {l} occurs {got}, F({l},{j})={want}")
     return problems
 
 
@@ -95,10 +107,10 @@ def array_from_outline_square(outline: OutlineRectangle,
     so removal keeps the count conditions consistent)."""
     if not outline.is_square_form():
         raise PreconditionError("outline is not an outline square")
-    cells = [list(row) for row in outline.cells]
+    cells = [list(row) for row in outline.counts]
     if drop_diagonal:
         for i in range(len(cells)):
-            cells[i][i] = ()
+            cells[i][i] = {}
     return OutlineArray(cells)
 
 
@@ -107,12 +119,11 @@ def square_from_array(array: OutlineArray, partition: Partition,
     """Restore diagonal cells h_i^2 {i} and reinterpret as an outline square."""
     if partition.k != array.k:
         raise PreconditionError("partition order does not match the array")
-    cells = [list(row) for row in array.cells]
+    cells = [list(row) for row in array.counts]
     for i in range(1, array.k + 1):
         if cells[i - 1][i - 1]:
             raise PreconditionError(f"diagonal cell ({i},{i}) is not empty")
-        h = partition.part(i)
-        cells[i - 1][i - 1] = (i,) * (h * h)
+        cells[i - 1][i - 1] = {i: partition.part(i) ** 2}
     outline = OutlineRectangle(partition, partition, partition, cells)
     bad = validate_outline(outline)
     if bad:
@@ -127,18 +138,26 @@ def sum_outline_arrays(first: OutlineArray, second: OutlineArray,
     if first.k != second.k:
         raise PreconditionError(
             f"order mismatch: {first.k} vs {second.k}")
-    cells = [
-        [first.cells[i][j] + second.cells[i][j] for j in range(first.k)]
-        for i in range(first.k)
-    ]
+    cells = [[dict(c) for c in row] for row in first.counts]
+    _add_arrays(cells, second.counts)
     return OutlineArray(cells)
+
+
+def _add_arrays(cells: list[list[Counts]],
+                other: Sequence[Sequence[Counts]]) -> None:
+    """Add ``other``'s counts into the working count maps ``cells``."""
+    for row, other_row in zip(cells, other):
+        for cell, add in zip(row, other_row):
+            for s, c in add.items():
+                cell[s] = cell.get(s, 0) + c
 
 
 def scale_outline_array(array: OutlineArray, copies: int) -> OutlineArray:
     """The cellwise sum of ``copies`` copies of ``array``."""
     if copies < 0:
         raise PreconditionError("copies must be non-negative")
-    cells = [[c * copies for c in row] for row in array.cells]
+    cells = [[{s: c * copies for s, c in cell.items()} for cell in row]
+             for row in array.counts]
     return OutlineArray(cells)
 
 
@@ -152,20 +171,13 @@ def amalgamate_outline_array(array: OutlineArray,
     if flat != list(range(1, k + 1)):
         raise PreconditionError(f"groups do not partition [{k}]")
     group_sets.sort(key=lambda g: g[0])
-    relabel = {}
+    relabel = [0] * (k + 1)
     for gi, members in enumerate(group_sets, start=1):
         for x in members:
             relabel[x] = gi
     kk = len(group_sets)
-    cells = [[[] for _ in range(kk)] for _ in range(kk)]
-    for gi, rows in enumerate(group_sets):
-        for gj, cols in enumerate(group_sets):
-            merged: list[int] = []
-            for x in rows:
-                for y in cols:
-                    merged.extend(relabel[s] for s in array.cells[x - 1][y - 1])
-            cells[gi][gj] = merged
-    return OutlineArray(cells)
+    return OutlineArray(_amalgamate(array.counts, relabel, relabel, relabel,
+                                    (kk, kk)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +219,12 @@ def add_on_outline(m: int, tail: Sequence[int], h_m: int) -> OutlineArray:
         symbols.extend([m + 1 + offset] * h)
     shares = _deal_round_robin(symbols, group_count)
 
-    total = OutlineArray([[() for _ in range(k)] for _ in range(k)])
+    total: list[list[Counts]] = [[{} for _ in range(k)] for _ in range(k)]
     for share in shares:
         if len(share) > m - 1:
             raise InternalError("round-robin share exceeded m - 1 symbols")
-        total = sum_outline_arrays(total, _one_share_array(m, k, share))
-    return total
+        _add_arrays(total, _one_share_array(m, k, share).counts)
+    return OutlineArray(total)
 
 
 def _one_share_array(m: int, k: int, share: Sequence[int]) -> OutlineArray:
@@ -223,27 +235,20 @@ def _one_share_array(m: int, k: int, share: Sequence[int]) -> OutlineArray:
     from .base import ls_one_big
 
     s = len(share)
-    counts = Counter(share)
     square, _ = ls_one_big(s, m)
     # The realization has the order-s block first: rows/cols/symbols [s],
     # then m singletons.  Class map: square index -> array class.
-    owner: list[int] = []
-    for sym in sorted(counts):
-        owner.extend([sym] * counts[sym])
-    assert len(owner) == s
-    klass = owner + [i for i in range(1, m + 1)]
+    klass = sorted(share) + [i for i in range(1, m + 1)]
 
-    cells: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(k)]
-    n = s + m
-    for r in range(1, n + 1):
-        ci = klass[r - 1]
-        for c in range(1, n + 1):
-            cj = klass[c - 1]
-            if ci == cj:
+    cells: list[list[Counts]] = [[{} for _ in range(k)] for _ in range(k)]
+    for ci, line in zip(klass, square.grid):
+        out = cells[ci - 1]
+        for cj, v in zip(klass, line):
+            if ci == cj or (ci > m and cj > m):
                 continue
-            if ci > m and cj > m:
-                continue
-            cells[ci - 1][cj - 1].append(klass[square.cell(r, c) - 1])
+            cell = out[cj - 1]
+            sym = klass[v - 1]
+            cell[sym] = cell.get(sym, 0) + 1
     array = OutlineArray(cells)
     bad = validate_outline_array(array)
     if bad:
@@ -323,22 +328,6 @@ def plan_blow_up(seed: Partition, g: int, beta1: int, beta2: int) -> BlowupPlan:
     return BlowupPlan(g, h1, r, p, q, tuple(p_parts), q_parts, beta1, beta2)
 
 
-def _adjust(cell: Multiset, sym: int, delta: int) -> list[int]:
-    """Add (delta > 0) or remove (delta < 0) copies of one symbol."""
-    out = list(cell)
-    if delta >= 0:
-        out.extend([sym] * delta)
-        return out
-    for _ in range(-delta):
-        try:
-            out.remove(sym)
-        except ValueError:
-            raise InternalError(
-                f"blow-up needs to remove symbol {sym} from a cell that has "
-                "no copy left; beta guarantee misreported") from None
-    return out
-
-
 def blow_up(outline: OutlineRectangle, g: int, beta1: int, beta2: int,
             ) -> OutlineRectangle:
     """Grow the three leading classes of an outline square from h1 to g.
@@ -356,17 +345,18 @@ def blow_up(outline: OutlineRectangle, g: int, beta1: int, beta2: int,
             "blow-up expects three equal leading classes and a tail")
     h1 = seed.part(1)
     k = seed.k
+    counts = outline.counts
     for i in range(1, k + 1):
         h = seed.part(i)
-        if outline.cell(i, i) != (i,) * (h * h):
+        if counts[i - 1][i - 1] != {i: h * h}:
             raise PreconditionError(
                 f"diagonal cell ({i},{i}) must be {h}^2 copies of {i}")
     for sym, (i, j) in ((1, (2, 3)), (2, (3, 1)), (3, (1, 2))):
-        if outline.cell(i, j).count(sym) < beta1:
+        if counts[i - 1][j - 1].get(sym, 0) < beta1:
             raise PreconditionError(
                 f"cell ({i},{j}) lacks beta1 = {beta1} copies of {sym}")
     for sym, (i, j) in ((1, (3, 2)), (2, (1, 3)), (3, (2, 1))):
-        if outline.cell(i, j).count(sym) < beta2:
+        if counts[i - 1][j - 1].get(sym, 0) < beta2:
             raise PreconditionError(
                 f"cell ({i},{j}) lacks beta2 = {beta2} copies of {sym}")
 
@@ -377,37 +367,33 @@ def blow_up(outline: OutlineRectangle, g: int, beta1: int, beta2: int,
     s1 = {m + 4: c for m, c in enumerate(plan.p_parts)}
     s2 = {m + 4: c for m, c in enumerate(plan.q_parts)}
 
-    cells = [[list(c) for c in row] for row in outline.cells]
+    cells = [[dict(c) for c in row] for row in counts]
 
-    def put(i: int, j: int, value: Iterable[int]) -> None:
-        cells[i - 1][j - 1] = list(value)
-
-    def extend(i: int, j: int, adds: dict[int, int]) -> None:
-        for sym, cnt in adds.items():
-            cells[i - 1][j - 1].extend([sym] * cnt)
+    def add(i: int, j: int, change: Counts) -> None:
+        cell = cells[i - 1][j - 1]
+        for sym, cnt in change.items():
+            left = cell.get(sym, 0) + cnt
+            if left < 0:
+                raise InternalError(
+                    f"blow-up needs to remove symbol {sym} from cell "
+                    f"({i},{j}), which has too few copies; beta guarantee "
+                    "misreported")
+            cell[sym] = left
 
     for i in range(1, 4):
-        put(i, i, [i] * (g * g))
-    extend(1, 2, s1)
-    put(1, 2, _adjust(multiset(cells[0][1]), 3, -d1))
-    extend(2, 3, s1)
-    put(2, 3, _adjust(multiset(cells[1][2]), 1, -d1))
-    extend(3, 1, s1)
-    put(3, 1, _adjust(multiset(cells[2][0]), 2, -d1))
-    extend(2, 1, s2)
-    put(2, 1, _adjust(multiset(cells[1][0]), 3, -d2))
-    extend(3, 2, s2)
-    put(3, 2, _adjust(multiset(cells[2][1]), 1, -d2))
-    extend(1, 3, s2)
-    put(1, 3, _adjust(multiset(cells[0][2]), 2, -d2))
+        cells[i - 1][i - 1] = {i: g * g}
+    for (i, j), sym in (((1, 2), 3), ((2, 3), 1), ((3, 1), 2)):
+        add(i, j, {**s1, sym: -d1})
+    for (i, j), sym in (((2, 1), 3), ((3, 2), 1), ((1, 3), 2)):
+        add(i, j, {**s2, sym: -d2})
     for j in range(4, k + 1):
         pj, qj = plan.p_parts[j - 4], plan.q_parts[j - 4]
-        extend(1, j, {3: pj, 2: qj})
-        extend(2, j, {1: pj, 3: qj})
-        extend(3, j, {2: pj, 1: qj})
-        extend(j, 1, {2: pj, 3: qj})
-        extend(j, 2, {3: pj, 1: qj})
-        extend(j, 3, {1: pj, 2: qj})
+        add(1, j, {3: pj, 2: qj})
+        add(2, j, {1: pj, 3: qj})
+        add(3, j, {2: pj, 1: qj})
+        add(j, 1, {2: pj, 3: qj})
+        add(j, 2, {3: pj, 1: qj})
+        add(j, 3, {1: pj, 2: qj})
 
     new_partition = Partition((g, g, g) + tail)
     result = OutlineRectangle(new_partition, new_partition, new_partition,

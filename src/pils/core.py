@@ -9,13 +9,13 @@ modulo a partition triple, and the existence predicate assembled from the
 known characterizations.
 
 Conventions: rows, columns and symbols are 1-based everywhere in the public
-API.  Cell multisets are stored as sorted tuples of symbols with repetition;
-dense count vectors are available through accessors.
+API.  An outline cell is stored as a ``{symbol: count}`` map without zero
+counts, the form in which the outline conditions are stated; ``cell(i, j)``
+and ``.cells`` spell the same multisets out as sorted tuples for reading.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -123,13 +123,6 @@ class Partition:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
-def _block_starts(parts: Sequence[int]) -> list[int]:
-    starts = [0]
-    for p in parts:
-        starts.append(starts[-1] + p)
-    return starts
 
 
 def _group_map(parts: Sequence[int]) -> list[int]:
@@ -300,17 +293,65 @@ def verify_realization(square: LatinSquare, partition: Partition,
 # Outline rectangles
 
 Multiset = tuple[int, ...]
+Counts = dict[int, int]
 
 
-def multiset(symbols: Iterable[int]) -> Multiset:
-    return tuple(sorted(symbols))
+def _count_cells(cells: Sequence[Sequence[Counts | Iterable[int]]], t: int,
+                 ) -> tuple[tuple[Counts, ...], ...]:
+    """The stored form of an outline's cells: fresh count maps without zero
+    counts.  Each cell is given as a count map or as an iterable of symbols;
+    symbols must lie in [t] and counts must be non-negative ints.  A cell
+    holding one symbol once is the one shared map for that symbol, so the
+    n^2 singleton cells of a fine outline cost a pointer each; stored maps
+    are never changed, which makes the sharing safe."""
+    singles = [{s: 1} for s in range(t + 1)]  # index 0 unused
+    out = []
+    for row in cells:
+        out_row = []
+        for cell in row:
+            if not isinstance(cell, dict):
+                symbols = cell
+                cell = {}
+                for s in symbols:
+                    cell[s] = cell.get(s, 0) + 1
+            counts = {}
+            for s, c in cell.items():
+                if type(c) is not int or c < 0:
+                    raise GridError(f"count of symbol {s!r} is {c!r}, not a "
+                                    "non-negative int")
+                if type(s) is not int or not 1 <= s <= t:
+                    raise GridError(f"cell symbol outside [{t}]: {s!r}")
+                if c:
+                    counts[s] = c
+            if len(counts) == 1:
+                (s, c), = counts.items()
+                if c == 1:
+                    counts = singles[s]
+            out_row.append(counts)
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
-def multiset_counts(cell: Multiset, t: int) -> list[int]:
-    """Dense count vector over [t] for one cell."""
-    out = [0] * t
-    for s in cell:
-        out[s - 1] += 1
+def _expand(cell: Counts) -> Multiset:
+    """A count map spelled out as the sorted tuple of its symbols."""
+    return tuple(s for s in sorted(cell) for _ in range(cell[s]))
+
+
+def _amalgamate(counts: Sequence[Sequence[Counts]], row_map: Sequence[int],
+                col_map: Sequence[int], sym_map: Sequence[int],
+                shape: tuple[int, int]) -> list[list[Counts]]:
+    """Merge count cells along 1-based index maps: cell (i, j) is added into
+    cell (row_map[i], col_map[j]) of a ``shape`` array, each symbol s
+    relabelled sym_map[s]."""
+    out: list[list[Counts]] = [[{} for _ in range(shape[1])]
+                               for _ in range(shape[0])]
+    for i, row in enumerate(counts, start=1):
+        target = out[row_map[i] - 1]
+        for j, cell in enumerate(row, start=1):
+            merged = target[col_map[j] - 1]
+            for s, c in cell.items():
+                s = sym_map[s]
+                merged[s] = merged.get(s, 0) + c
     return out
 
 
@@ -323,16 +364,20 @@ class OutlineRectangle:
     * cell (i,j) holds p_i * q_j symbols;
     * symbol l occurs p_i * r_l times in row i;
     * symbol l occurs q_j * r_l times in column j.
+
+    ``counts[i-1][j-1]`` stores cell (i,j) as a ``{symbol: count}`` map
+    without zero counts; the maps must not be changed.  The constructor
+    takes each cell as such a map or as an iterable of symbols.
     """
 
     row_partition: Partition
     col_partition: Partition
     sym_partition: Partition
-    cells: tuple[tuple[Multiset, ...], ...]
+    counts: tuple[tuple[Counts, ...], ...]
 
     def __init__(self, row_partition: Partition, col_partition: Partition,
                  sym_partition: Partition,
-                 cells: Sequence[Sequence[Iterable[int]]]):
+                 cells: Sequence[Sequence[Counts | Iterable[int]]]):
         if row_partition.n != col_partition.n or row_partition.n != sym_partition.n:
             raise PartitionError(
                 f"partition sums differ: {row_partition.n}, {col_partition.n}, "
@@ -340,34 +385,23 @@ class OutlineRectangle:
         u, v = row_partition.k, col_partition.k
         if len(cells) != u or any(len(row) != v for row in cells):
             raise GridError(f"cell array is not {u}x{v}")
-        frozen = tuple(tuple(multiset(c) for c in row) for row in cells)
-        t = sym_partition.k
-        for row in frozen:
-            for c in row:
-                if c and not (1 <= c[0] and c[-1] <= t):
-                    raise GridError(f"cell symbol outside [{t}]: {c}")
         object.__setattr__(self, "row_partition", row_partition)
         object.__setattr__(self, "col_partition", col_partition)
         object.__setattr__(self, "sym_partition", sym_partition)
-        object.__setattr__(self, "cells", frozen)
+        object.__setattr__(self, "counts",
+                           _count_cells(cells, sym_partition.k))
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.row_partition.k, self.col_partition.k)
 
+    @property
+    def cells(self) -> tuple[tuple[Multiset, ...], ...]:
+        """Every cell as a sorted tuple of symbols (a read-only view)."""
+        return tuple(tuple(_expand(c) for c in row) for row in self.counts)
+
     def cell(self, i: int, j: int) -> Multiset:
-        return self.cells[i - 1][j - 1]
-
-    def cell_size(self, i: int, j: int) -> int:
-        return len(self.cells[i - 1][j - 1])
-
-    def row_symbol_count(self, i: int, l: int) -> int:
-        """Occurrences of symbol l across row i."""
-        return sum(c.count(l) for c in self.cells[i - 1])
-
-    def col_symbol_count(self, j: int, l: int) -> int:
-        """Occurrences of symbol l across column j."""
-        return sum(row[j - 1].count(l) for row in self.cells)
+        return _expand(self.counts[i - 1][j - 1])
 
     def is_square_form(self) -> bool:
         return (self.row_partition == self.col_partition ==
@@ -376,7 +410,7 @@ class OutlineRectangle:
     def transpose(self) -> "OutlineRectangle":
         return OutlineRectangle(
             self.col_partition, self.row_partition, self.sym_partition,
-            tuple(zip(*self.cells)))
+            tuple(zip(*self.counts)))
 
 
 @dataclass(frozen=True)
@@ -398,28 +432,29 @@ def validate_outline(outline: OutlineRectangle) -> list[OutlineViolation]:
                outline.sym_partition)
     t = R.k
     violations: list[OutlineViolation] = []
-    col_counter: list[Counter] = [Counter() for _ in range(Q.k)]
-    for i in range(1, P.k + 1):
-        row_counter: Counter = Counter()
-        for j in range(1, Q.k + 1):
-            cell = outline.cells[i - 1][j - 1]
+    col_counts = [[0] * (t + 1) for _ in range(Q.k)]
+    for i, row in enumerate(outline.counts, start=1):
+        row_counts = [0] * (t + 1)
+        for j, (cell, col) in enumerate(zip(row, col_counts), start=1):
             expected = P.part(i) * Q.part(j)
-            if len(cell) != expected:
+            size = sum(cell.values())
+            if size != expected:
                 violations.append(OutlineViolation(
-                    "cell-size", (i, j), None, expected, len(cell)))
-            row_counter.update(cell)
-            col_counter[j - 1].update(cell)
+                    "cell-size", (i, j), None, expected, size))
+            for s, c in cell.items():
+                row_counts[s] += c
+                col[s] += c
         for l in range(1, t + 1):
             expected = P.part(i) * R.part(l)
-            if row_counter[l] != expected:
+            if row_counts[l] != expected:
                 violations.append(OutlineViolation(
-                    "row-count", (i,), l, expected, row_counter[l]))
-    for j in range(1, Q.k + 1):
+                    "row-count", (i,), l, expected, row_counts[l]))
+    for j, col in enumerate(col_counts, start=1):
         for l in range(1, t + 1):
             expected = Q.part(j) * R.part(l)
-            if col_counter[j - 1][l] != expected:
+            if col[l] != expected:
                 violations.append(OutlineViolation(
-                    "col-count", (j,), l, expected, col_counter[j - 1][l]))
+                    "col-count", (j,), l, expected, col[l]))
     return violations
 
 
@@ -440,17 +475,16 @@ def reduce(square: LatinSquare, row_partition: Partition,
             raise PartitionError(
                 f"{name} partition sums to {part.n}, square has order {n}")
     sym_group = _group_map(sym_partition.parts)
-    rstarts = _block_starts(row_partition.parts)
-    cstarts = _block_starts(col_partition.parts)
-    cells = []
-    for bi in range(row_partition.k):
-        row_cells = []
-        rows = range(rstarts[bi], rstarts[bi + 1])
-        for bj in range(col_partition.k):
-            cols = range(cstarts[bj], cstarts[bj + 1])
-            row_cells.append(multiset(
-                sym_group[square.grid[r][c] - 1] for r in rows for c in cols))
-        cells.append(row_cells)
+    row_group = _group_map(row_partition.parts)
+    col_group = _group_map(col_partition.parts)
+    cells: list[list[Counts]] = [[{} for _ in range(col_partition.k)]
+                                 for _ in range(row_partition.k)]
+    for r, line in enumerate(square.grid):
+        out = cells[row_group[r] - 1]
+        for c, v in enumerate(line):
+            cell = out[col_group[c] - 1]
+            s = sym_group[v - 1]
+            cell[s] = cell.get(s, 0) + 1
     outline = OutlineRectangle(row_partition, col_partition, sym_partition,
                                cells)
     bad = validate_outline(outline)

@@ -12,9 +12,10 @@ Splits are performed in a fixed order (rows, then columns, then symbols,
 lowest index first, one unit at a time) with a deterministic flow solver, so
 lifting is a pure function of its input.
 
-While rows and columns are split, every cell is held as a map from symbol
-(0-based) to its count, the sparse multiplicity row the flow solver takes,
-so a split neither expands a cell to h_i * h_j entries nor recounts one.
+Every cell is the outline's own ``{symbol: count}`` map, which is the
+sparse multiplicity row the flow solver takes (symbol l is right vertex l;
+vertex 0 is an unused placeholder), so a split neither expands a cell to
+h_i * h_j entries nor recounts one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .core import (
     PreconditionError,
     SubsquareCertificate,
     RealizationError,
-    multiset,
     reduce as core_reduce,
     validate_outline,
     verify_realization,
@@ -323,26 +323,13 @@ def extract_exact_degree_subgraph(graph: BipartiteMultigraph,
 # Splits on outline rectangles
 
 
-def _counts(cell: Sequence[int], singles: Sequence[dict[int, int]],
-            ) -> dict[int, int]:
-    """A multiset of symbols (1-based) as a count map keyed by symbol - 1."""
-    counts: dict[int, int] = {}
-    for s in cell:
-        counts[s - 1] = counts.get(s - 1, 0) + 1
-    return _shared(counts, singles)
-
-
-def _symbols(counts: dict[int, int]) -> list[int]:
-    """The inverse of :func:`_counts`: a sorted list of 1-based symbols."""
-    return [s + 1 for s in sorted(counts) for _ in range(counts[s])]
-
-
 def _shared(cell: dict[int, int], singles: Sequence[dict[int, int]],
             ) -> dict[int, int]:
     """``cell``, or the shared map in ``singles`` if it holds one symbol once.
 
     Count maps are never changed in place, so the n^2 single-symbol cells
-    left after all line splits can share one map per symbol.
+    left after all line splits can share one map per symbol; ``singles[s]``
+    is ``{s: 1}``.
     """
     if len(cell) == 1:
         for s, m in cell.items():
@@ -357,10 +344,10 @@ def _row_extraction(row_cells: Sequence[dict[int, int]], a: int,
                     ) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
     """Split ``a`` units off one row-class; returns (unit cells, rest cells).
 
-    Cells are count maps without zero counts, as :func:`_counts` makes them.
+    Cells are count maps without zero counts, as outlines store them.
     """
     taken = _solve_extraction(row_cells, [a * q for q in col_parts],
-                              [a * r for r in sym_parts])
+                              [0] + [a * r for r in sym_parts])
     unit_cells: list[dict[int, int]] = []
     rest_cells: list[dict[int, int]] = []
     for cell, got in zip(row_cells, taken):
@@ -386,14 +373,12 @@ def split_row(outline: OutlineRectangle, i: int, a: int) -> OutlineRectangle:
         raise PreconditionError(f"row {i} has part 1, nothing to split")
     if not 1 <= a < p:
         raise PreconditionError(f"need 1 <= a < {p}, got {a}")
-    singles = [{s: 1} for s in range(outline.sym_partition.k)]
+    singles = [{s: 1} for s in range(outline.sym_partition.k + 1)]
     unit, rest = _row_extraction(
-        [_counts(c, singles) for c in outline.cells[i - 1]], a,
-        outline.col_partition.parts, outline.sym_partition.parts, singles)
+        outline.counts[i - 1], a, outline.col_partition.parts,
+        outline.sym_partition.parts, singles)
     new_parts = P.parts[: i - 1] + (a, p - a) + P.parts[i:]
-    new_cells = (list(outline.cells[: i - 1])
-                 + [[_symbols(c) for c in unit], [_symbols(c) for c in rest]]
-                 + list(outline.cells[i:]))
+    new_cells = outline.counts[: i - 1] + (unit, rest) + outline.counts[i:]
     return OutlineRectangle(Partition(new_parts), outline.col_partition,
                             outline.sym_partition, new_cells)
 
@@ -423,22 +408,16 @@ def split_symbol(outline: OutlineRectangle, l: int, a: int) -> OutlineRectangle:
     if not 1 <= a < r:
         raise PreconditionError(f"need 1 <= a < {r}, got {a}")
     n = outline.row_partition.k
-    rows = [{j for j in range(n) if outline.cells[i][j] and
-             outline.cells[i][j][0] == l} for i in range(n)]
-    mult = [{j: 1 for j in sorted(cols)} for cols in rows]
+    labels = [[next(iter(cell)) for cell in row] for row in outline.counts]
+    mult = [{j: 1 for j, s in enumerate(row) if s == l} for row in labels]
     taken = _solve_extraction(mult, [a] * n, [a] * n)
     new_cells = []
-    for i in range(n):
-        got = taken[i]
+    for row, got in zip(labels, taken):
         row_out = []
-        for j in range(n):
-            s = outline.cells[i][j][0]
-            if s > l:
-                row_out.append((s + 1,))
-            elif s == l and got.get(j, 0) == 0:
-                row_out.append((l + 1,))
-            else:
-                row_out.append((s,))
+        for j, s in enumerate(row):
+            if s > l or (s == l and j not in got):
+                s += 1
+            row_out.append({s: 1})
         new_cells.append(row_out)
     new_parts = R.parts[: l - 1] + (a, r - a) + R.parts[l:]
     return OutlineRectangle(outline.row_partition, outline.col_partition,
@@ -452,9 +431,10 @@ def split_symbol(outline: OutlineRectangle, l: int, a: int) -> OutlineRectangle:
 class _LiftState:
     """Mutable working copy of an outline during the line splits.
 
-    Each cell is a ``{symbol - 1: count}`` map without zero counts, made once
-    from the outline's multisets.  Cells are replaced, never changed in
-    place; cells holding one symbol once are the shared maps in ``singles``.
+    Each cell is a ``{symbol: count}`` map without zero counts, starting
+    from the outline's stored maps.  Cells are replaced, never changed in
+    place; cells a split leaves holding one symbol once are the shared maps
+    in ``singles``.
     """
 
     __slots__ = ("row_parts", "col_parts", "sym_parts", "singles", "cells")
@@ -463,9 +443,8 @@ class _LiftState:
         self.row_parts = list(outline.row_partition.parts)
         self.col_parts = list(outline.col_partition.parts)
         self.sym_parts = list(outline.sym_partition.parts)
-        self.singles = [{s: 1} for s in range(len(self.sym_parts))]
-        self.cells = [[_counts(c, self.singles) for c in row]
-                      for row in outline.cells]
+        self.singles = [{s: 1} for s in range(len(self.sym_parts) + 1)]
+        self.cells = [list(row) for row in outline.counts]
 
     def transpose(self) -> None:
         self.row_parts, self.col_parts = self.col_parts, self.row_parts
@@ -576,12 +555,12 @@ def lift(outline: OutlineRectangle) -> LatinSquare:
     state.transpose()
     _split_rows_to_units(state)
     state.transpose()
-    labels = [[next(iter(cell)) + 1 for cell in row] for row in state.cells]
+    labels = [[next(iter(cell)) for cell in row] for row in state.cells]
     grid = _split_symbols_to_units(labels, state.sym_parts)
     square = LatinSquare(grid)
     check = core_reduce(square, outline.row_partition, outline.col_partition,
                         outline.sym_partition)
-    if check.cells != outline.cells:
+    if check.counts != outline.counts:
         raise InternalError("lift round trip failed to reproduce the outline")
     return square
 
@@ -602,8 +581,7 @@ def lift_to_realization(outline: OutlineRectangle, partition: Partition,
             "outline is not an outline square for the requested partition")
     for i in range(1, partition.k + 1):
         h = partition.part(i)
-        expected = multiset([i] * (h * h))
-        if outline.cell(i, i) != expected:
+        if outline.counts[i - 1][i - 1] != {i: h * h}:
             raise RealizationError(
                 f"diagonal cell ({i},{i}) must hold {h * h} copies of symbol "
                 f"{i}", block=i, cell=(i, i))

@@ -56,6 +56,11 @@ class TestBuildCirculant:
         assert len(triples) == 1 and len(triples[0].triples) == 5
         assert check_circulant_properties(outline, triples, P) == []
 
+    def test_singleton_cells_share_one_map_per_symbol(self):
+        outline, _ = build_circulant_outline(Partition([3, 1, 1, 1, 1, 1]))
+        maps = {id(cell) for row in outline.counts for cell in row}
+        assert len(maps) <= outline.sym_partition.k
+
     def test_even_t_rejected(self):
         with pytest.raises(PreconditionError):
             build_circulant_outline(Partition([2, 1, 1, 1, 1]))
@@ -158,11 +163,10 @@ class TestEvenROutline:
         with pytest.raises(PreconditionError):
             even_r_outline(Partition([2, 2, 2, 2] + [1] * 8))
 
-    def test_trade_conservation_in_debug_mode(self):
-        # the intermediate array must stay a valid outline rectangle both
-        # before and after the trade batch
+    def test_trade_conservation(self):
+        # the trade batch keeps every cell size and line count
         P = Partition([3, 3, 3, 2, 2, 2, 2, 2, 2, 2])
-        outline, _, _ = even_r_outline(P, debug=True)
+        outline, _, _ = even_r_outline(P)
         assert validate_outline(outline) == []
 
     def test_diagonal_and_corner(self):

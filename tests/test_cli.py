@@ -31,6 +31,19 @@ class TestParsing:
     def test_garbage_is_usage_error(self, capsys):
         assert main(["exists", "3,x"]) == 64
 
+    @pytest.mark.parametrize("text", ["3,3,3,2^-1", "3^0 2", "0,1", "-1^3"])
+    def test_non_positive_part_or_exponent_is_usage_error(self, text, capsys):
+        assert main(["exists", text]) == 64
+
+    def test_order_cap(self, capsys):
+        assert main(["exists", "1^2000"]) == 0
+        assert main(["exists", "1^2001"]) == 64
+        assert main(["exists", "1000,1000,1"]) == 64
+
+    def test_exponent_bomb_is_rejected_before_expansion(self):
+        with pytest.raises(ValueError, match="limit"):
+            parse_partition("1^100000000")
+
 
 class TestExists:
     def test_exit_codes(self, capsys):
@@ -117,6 +130,20 @@ class TestReduceLift:
                      "3,1,1,1,1,1,1"]) == 0
         assert json.loads(capsys.readouterr().out) == json.loads(outline_json)
 
+    @pytest.mark.parametrize("data", [
+        {"rows": [2], "cols": [2], "syms": [2], "cells": [[{"1": "4"}]]},
+        {"rows": [2], "cols": [2], "syms": [2], "cells": [[[1, 1, 1, 1]]]},
+        {"rows": [2], "cols": [2], "syms": [2]},
+        {"rows": [2], "cols": [2], "syms": [2],
+         "cells": [[{"1": 4, "2": -1}]]},
+    ], ids=["string-count", "list-cell", "no-cells", "negative-count"])
+    def test_malformed_outline_json_is_usage_error(self, data, tmp_path,
+                                                   capsys):
+        path = tmp_path / "outline.json"
+        path.write_text(json.dumps(data))
+        assert main(["lift", str(path)]) == 64
+        assert "error:" in capsys.readouterr().err
+
     def test_outline_json_round_trip(self, grid_file, capsys):
         from pils import LatinSquare, Partition, reduce as reduce_square
 
@@ -150,3 +177,6 @@ class TestIlsCommand:
 
     def test_below_bound(self, capsys):
         assert main(["ils", "11", "3,2,1"]) == 64
+
+    def test_order_cap(self, capsys):
+        assert main(["ils", "2001", "3,2,1"]) == 64

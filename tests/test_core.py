@@ -173,6 +173,55 @@ class TestValidateOutline:
             == []
 
 
+class TestOutlineStorage:
+    def _partitions(self):
+        return (Partition(REDUCTION_ROWS), Partition(REDUCTION_COLS),
+                Partition(REDUCTION_SYMS))
+
+    def _count_maps(self):
+        maps = []
+        for row in REFERENCE_OUTLINE_CELLS:
+            maps.append([])
+            for cell in row:
+                counts = {}
+                for s in cell:
+                    counts[s] = counts.get(s, 0) + 1
+                maps[-1].append(counts)
+        return maps
+
+    def test_tuples_and_count_maps_agree(self):
+        from_tuples = OutlineRectangle(*self._partitions(),
+                                       REFERENCE_OUTLINE_CELLS)
+        from_counts = OutlineRectangle(*self._partitions(), self._count_maps())
+        assert from_tuples == from_counts
+        assert from_tuples.cells == from_counts.cells == tuple(
+            tuple(row) for row in REFERENCE_OUTLINE_CELLS)
+        assert from_counts.counts[3][0] == {4: 2, 5: 2, 6: 1, 7: 1}
+
+    def test_zero_counts_are_dropped(self):
+        maps = self._count_maps()
+        maps[0][0] = {1: 3, 2: 0, 7: 0}
+        outline = OutlineRectangle(*self._partitions(), maps)
+        assert outline.counts[0][0] == {1: 3}
+        assert outline == OutlineRectangle(*self._partitions(),
+                                           REFERENCE_OUTLINE_CELLS)
+
+    @pytest.mark.parametrize("cell", [
+        {1: -1, 2: 4},     # negative count
+        {1: 3.0},          # float count
+        {1: "3"},          # string count
+        {1: True, 2: 2},   # bool count
+        {8: 3},            # symbol outside [7]
+        {0: 3},            # symbol outside [7]
+        (1, 1, 8),         # symbol outside [7], given as a tuple
+    ])
+    def test_malformed_cells_rejected(self, cell):
+        maps = self._count_maps()
+        maps[0][0] = cell
+        with pytest.raises(GridError):
+            OutlineRectangle(*self._partitions(), maps)
+
+
 class TestExists:
     @pytest.mark.parametrize("parts,verdict", [
         ((1, 1), "no"),

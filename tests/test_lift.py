@@ -214,6 +214,7 @@ class TestLift:
         sq = random_latin_square(n, rng)
         P, Q, R = (data.draw(compositions(n), label=name) for name in "PQR")
         outline = reduce(sq, P, Q, R)
+        assert OutlineRectangle(P, Q, R, outline.counts) == outline
         assert reduce(lift(outline), P, Q, R).cells == outline.cells
         splittable = [i for i in range(1, P.k + 1) if P.part(i) > 1]
         if splittable:
