@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .compose import add_on_step
+from .compose import _addon_bound_holds, add_on_step
 from .core import (
     InternalError,
     LatinSquare,
@@ -30,10 +30,6 @@ from .lift import lift_to_realization
 # Every use of the completion solver, for auditing which inputs ever reach
 # the final fallback branch.
 completion_invocations: list[tuple[int, ...]] = []
-
-
-def _cyclic(n: int) -> list[list[int]]:
-    return [[(x + y) % n + 1 for y in range(n)] for x in range(n)]
 
 
 def idempotent_square(n: int) -> LatinSquare:
@@ -602,8 +598,7 @@ def _two_size_outline(partition: Partition) -> OutlineRectangle:
     parts = partition.parts
     a, b = parts[0], parts[-1]
     u = parts.count(a)
-    v = partition.k - u
-    if (v - 1) * b > (u - 1) * a + (u - 2) * b:
+    if not _addon_bound_holds(u, a, parts[u:]):
         return _complete_outline_square(partition)
     uniform = Partition([b] * partition.k)
     base_square, _ = ls_uniform(b, partition.k)

@@ -26,7 +26,7 @@ from .core import (
     is_latin,
     validate_outline,
 )
-from .lift import _perfect_matching
+from .lift import _peel_class
 
 
 def mod_rep(x: int, t: int) -> int:
@@ -217,19 +217,7 @@ def build_circulant_outline(partition: Partition,
     # Resolve the 0 class back into singletons h1-2*h2+1 .. h1 through
     # repeated transversal extraction (the only lifting step the outline
     # still owes its symbol partition).
-    width = 2 * parts[1]
-    adj = [[j for j in range(n) if labels[i][j] == 0] for i in range(n)]
-    for sub in range(1, width):
-        match = _perfect_matching(adj, n)
-        new_sym = singles + sub
-        for i in range(n):
-            j = match[i]
-            labels[i][j] = new_sym
-            adj[i].remove(j)
-    for i in range(n):
-        if len(adj[i]) != 1:
-            raise InternalError("0-class did not resolve to a transversal")
-        labels[i][adj[i][0]] = singles + width
+    _peel_class(labels, 0, range(singles + 1, h1 + 1), labels)
 
     ones = Partition([1] * n)
     sym_partition = Partition([1] * h1 + list(parts[1:]))

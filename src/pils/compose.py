@@ -191,6 +191,12 @@ def _deal_round_robin(items: Sequence[int], groups: int) -> list[list[int]]:
     return out
 
 
+def _addon_bound_holds(m: int, h_m: int, tail: Sequence[int]) -> bool:
+    """The add-on bound sum(h_{m+2..k}) <= (m-1)h_m + (m-2)h_{m+1}, where
+    ``tail`` is (h_{m+1}, ..., h_k)."""
+    return sum(tail[1:]) <= (m - 1) * h_m + (m - 2) * tail[0]
+
+
 def add_on_outline(m: int, tail: Sequence[int], h_m: int) -> OutlineArray:
     """The add-on outline array of order k = m + len(tail).
 
@@ -208,7 +214,7 @@ def add_on_outline(m: int, tail: Sequence[int], h_m: int) -> OutlineArray:
     h_m1 = tail[0]
     if h_m < h_m1 or any(a < b for a, b in zip(tail, tail[1:])):
         raise PreconditionError("tail must be non-increasing and at most h_m")
-    if sum(tail[1:]) > (m - 1) * h_m + (m - 2) * h_m1:
+    if not _addon_bound_holds(m, h_m, tail):
         raise PreconditionError(
             "tail too heavy: sum of parts beyond m+1 exceeds "
             "(m-1)h_m + (m-2)h_{m+1}")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .base import _two_size_outline, ls_uniform
 from .circulant import even_r_outline, odd_r_outline
-from .compose import add_on_step, blow_up
+from .compose import _addon_bound_holds, add_on_step, blow_up
 from .core import (
     InternalError,
     LatinSquare,
@@ -151,6 +151,15 @@ def construct_m_equal(partition: Partition, m: int | None = None,
     return square, certificate, trace
 
 
+def _rebuild_hypothesis(parts: Sequence[int], level: int) -> bool:
+    """The rebuild hypothesis (l-1)(h_l + h_{l+1}) < sum(h_{l+1..k}) at
+    level l, false when no part follows h_l."""
+    if level >= len(parts):
+        return False
+    return ((level - 1) * (parts[level - 1] + parts[level])
+            < sum(parts[level:]))
+
+
 def _m_equal_outline(partition: Partition, m: int | None,
                      ) -> tuple[OutlineRectangle | None, ConstructionTrace]:
     """construct_m_equal's checks and route choice, stopping at the outline
@@ -165,21 +174,17 @@ def _m_equal_outline(partition: Partition, m: int | None,
     if run < 3:
         raise PreconditionError("needs at least three equal largest parts")
 
-    def hypothesis(mm: int) -> bool:
-        if mm >= k:
-            return False
-        return (mm - 1) * (parts[0] + parts[mm]) < sum(parts[mm:])
-
     if m is not None:
         if not 3 <= m <= run:
             raise PreconditionError(
                 f"m = {m} outside [3, {run}] for {partition}")
-        if not hypothesis(m):
+        if not _rebuild_hypothesis(parts, m):
             raise PreconditionError(
                 f"hypothesis fails at m = {m}: ({m}-1)(h1+h_m+1) >= tail sum")
         chosen = m
     else:
-        chosen = next((mm for mm in range(3, run + 1) if hypothesis(mm)), None)
+        chosen = next((mm for mm in range(3, run + 1)
+                       if _rebuild_hypothesis(parts, mm)), None)
         if chosen is None:
             raise PreconditionError(
                 f"hypothesis fails for every m in [3, {run}] on {partition}")
@@ -235,16 +240,9 @@ def construct_main(partition: Partition,
     def level_partition(level: int) -> Partition:
         return Partition((parts[level - 1],) * level + parts[level:])
 
-    def jl_holds(level: int) -> bool:
-        return ((level - 1) * (parts[level - 1] + parts[level])
-                < sum(parts[level:]))
-
-    def addon_bound_holds(level: int) -> bool:
-        return (sum(parts[level + 1:])
-                <= (level - 1) * parts[level - 1] + (level - 2) * parts[level])
-
     rebuilds = [level for level in range(k - 1, m - 1, -1)
-                if parts[level - 1] > parts[level] and jl_holds(level)]
+                if parts[level - 1] > parts[level]
+                and _rebuild_hypothesis(parts, level)]
     start = min(rebuilds) if rebuilds else None
 
     outline = None
@@ -272,7 +270,9 @@ def construct_main(partition: Partition,
             trace.add("skip-equal", level=level)
             continue
         target = level_partition(level)
-        if jl_holds(level) and not addon_bound_holds(level):
+        if (_rebuild_hypothesis(parts, level) and
+                not _addon_bound_holds(level, parts[level - 1],
+                                       parts[level:])):
             # the proof's branch for this level; no add-on fallback exists
             outline, inner = _m_equal_outline(target, level)
             trace.add("rebuild", level=level, inner=inner.steps)

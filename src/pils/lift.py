@@ -3,13 +3,16 @@
 A reduction of a latin square modulo (P, Q, R) is an outline rectangle, and
 every outline rectangle arises this way.  The classical existence statement
 gives no algorithm, so this module supplies one: repeatedly split one row
-(then one column, then one symbol) off an amalgamated class, where each split
-is an exact-degree subgraph extraction on a bipartite multigraph, solved as a
-feasible-flow problem.  On a valid outline rectangle no extraction can fail;
-any infeasibility is an internal invariant violation.
+(then one column) off an amalgamated class, where each split is an
+exact-degree subgraph extraction on a bipartite multigraph, solved as a
+feasible-flow problem.  Once every line is a singleton, each symbol class
+is an r-regular bipartite graph on rows x columns and is peeled into r
+transversals by perfect matchings.  On a valid outline rectangle no
+extraction or matching can fail; any failure is an internal invariant
+violation.
 
 Splits are performed in a fixed order (rows, then columns, then symbols,
-lowest index first, one unit at a time) with a deterministic flow solver, so
+lowest index first, one unit at a time) with deterministic solvers, so
 lifting is a pure function of its input.
 
 Every cell is the outline's own ``{symbol: count}`` map, which is the
@@ -43,6 +46,9 @@ class ExtractionInfeasible(InternalError):
 
     ``left_set`` is a set of left vertices (1-based) whose demand exceeds the
     capacity of the edges leaving it, witnessing a violated cut.
+    ``right_set`` (also 1-based) is the set of right vertices on the source
+    side of that cut: those reachable from the source in the residual
+    network of a maximum flow.
     """
 
     def __init__(self, message: str, left_set: frozenset[int],
@@ -188,12 +194,6 @@ def _solve_extraction(mult_rows: Sequence[dict[int, int]], left_targets:
     if need == 0:
         return [dict() for _ in range(nl)]
 
-    # Unit case: all targets 1 and multiplicities 1 is a perfect b-matching
-    # solved much faster by greedy plus augmentation.
-    if (all(t == 1 for t in left_targets) and
-            all(all(m == 1 for m in row.values()) for row in mult_rows)):
-        return _solve_unit_matching(mult_rows, right_targets)
-
     source = nl + nr
     sink = source + 1
     net = _Dinic(sink + 1)
@@ -226,64 +226,6 @@ def _solve_extraction(mult_rows: Sequence[dict[int, int]], left_targets:
             if used:
                 taken[j] = used
         out.append(taken)
-    return out
-
-
-def _solve_unit_matching(mult_rows: Sequence[dict[int, int]],
-                         right_targets: Sequence[int]) -> list[dict[int, int]]:
-    """Perfect b-matching with unit left demands: greedy then augmenting paths."""
-    nl = len(mult_rows)
-    adj = [sorted(row) for row in mult_rows]
-    right_load = [0] * len(right_targets)
-    match_left = [-1] * nl
-    for i in range(nl):
-        for j in adj[i]:
-            if right_load[j] < right_targets[j]:
-                match_left[i] = j
-                right_load[j] += 1
-                break
-    for i in range(nl):
-        if match_left[i] >= 0:
-            continue
-        # BFS over alternating paths: left -> unsaturated right, or steal a
-        # right slot from another left vertex and re-place that one.
-        parent_left: dict[int, tuple[int, int]] = {}
-        owners: dict[int, list[int]] = {}
-        for x in range(nl):
-            if match_left[x] >= 0:
-                owners.setdefault(match_left[x], []).append(x)
-        seen_right: set[int] = set()
-        queue = deque([i])
-        end = None
-        while queue and end is None:
-            x = queue.popleft()
-            for j in adj[x]:
-                if j in seen_right:
-                    continue
-                seen_right.add(j)
-                if right_load[j] < right_targets[j]:
-                    end = (x, j)
-                    break
-                for y in owners.get(j, ()):
-                    if y not in parent_left:
-                        parent_left[y] = (x, j)
-                        queue.append(y)
-        if end is None:
-            reach_left = frozenset(
-                x + 1 for x in range(nl)
-                if x == i or x in parent_left)
-            raise ExtractionInfeasible(
-                "degree targets infeasible: no augmenting path from left "
-                f"vertex {i + 1}", reach_left, frozenset(seen_right))
-        x, j = end
-        right_load[j] += 1
-        while True:
-            match_left[x] = j
-            if x == i:
-                break
-            # the predecessor takes over the slot x just released
-            x, j = parent_left[x]
-    out: list[dict[int, int]] = [{match_left[i]: 1} for i in range(nl)]
     return out
 
 
@@ -510,33 +452,39 @@ def _perfect_matching(adj: list[list[int]], n: int) -> list[int]:
     return match_row
 
 
+def _peel_class(labels: Sequence[Sequence[int]], l: int,
+                symbols: Sequence[int], out: list[list[int]]) -> None:
+    """Write the cells of ``labels`` holding class ``l`` into ``out`` as
+    transversals, one per entry of ``symbols``.
+
+    The class must be a len(symbols)-regular bipartite graph on rows x
+    columns: each symbol but the last takes one perfect matching of the
+    cells still unpeeled, and the last takes the one cell left in each row.
+    ``out`` may be ``labels`` itself.
+    """
+    n = len(labels)
+    adj = [[j for j in range(n) if row[j] == l] for row in labels]
+    for sym in symbols[:-1]:
+        match = _perfect_matching(adj, n)
+        for i, j in enumerate(match):
+            out[i][j] = sym
+            adj[i].remove(j)
+    for i, cols in enumerate(adj):
+        if len(cols) != 1:
+            raise InternalError(
+                f"class {l} did not resolve to a transversal")
+        out[i][cols[0]] = symbols[-1]
+
+
 def _split_symbols_to_units(labels: list[list[int]],
                             sym_parts: Sequence[int]) -> list[list[int]]:
     """Resolve each symbol class into final symbols via matchings."""
     n = len(labels)
-    start = [0]
-    for r in sym_parts:
-        start.append(start[-1] + r)
     grid = [[0] * n for _ in range(n)]
+    base = 0
     for l, r in enumerate(sym_parts, start=1):
-        adj: list[list[int]] = [[] for _ in range(n)]
-        row = labels
-        for i in range(n):
-            ri = row[i]
-            adj[i] = [j for j in range(n) if ri[j] == l]
-        base = start[l - 1]
-        for sub in range(1, r):
-            match = _perfect_matching(adj, n)
-            sym = base + sub
-            for i in range(n):
-                j = match[i]
-                grid[i][j] = sym
-                adj[i].remove(j)
-        for i in range(n):
-            if len(adj[i]) != 1:
-                raise InternalError("symbol class did not resolve to a "
-                                    "transversal")
-            grid[i][adj[i][0]] = base + r
+        _peel_class(labels, l, range(base + 1, base + r + 1), grid)
+        base += r
     return grid
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pils import (
     BipartiteMultigraph,
     ExtractionInfeasible,
+    InternalError,
     OutlineRectangle,
     Partition,
     PreconditionError,
@@ -22,6 +23,7 @@ from pils import (
     validate_outline,
     verify_realization,
 )
+from pils.lift import _peel_class
 from reference import (
     REDUCTION_COLS,
     REDUCTION_ROWS,
@@ -100,6 +102,15 @@ class TestExtraction:
             extract_exact_degree_subgraph(
                 BipartiteMultigraph(mult), [0, 1], [1, 0])
         assert 2 in info.value.left_set
+
+    def test_infeasible_unit_targets_give_one_based_cut(self):
+        # left vertices 1 and 2 both need right vertex 1, which takes one
+        mult = [[1, 0, 0], [1, 0, 0], [0, 1, 1]]
+        with pytest.raises(ExtractionInfeasible) as info:
+            extract_exact_degree_subgraph(
+                BipartiteMultigraph(mult), [1, 1, 1], [1, 1, 1])
+        assert info.value.left_set == {1, 2}
+        assert info.value.right_set == {1}
 
     def test_random_extractions_match_targets(self):
         rng = random.Random(11)
@@ -221,6 +232,18 @@ class TestLift:
             i = data.draw(st.sampled_from(splittable), label="row")
             a = data.draw(st.integers(1, P.part(i) - 1), label="a")
             assert validate_outline(split_row(outline, i, a)) == []
+
+
+class TestPeelClass:
+    @pytest.mark.parametrize("symbols, message", [
+        ((1,), "did not resolve to a transversal"),
+        ((1, 2), "no perfect matching"),
+    ])
+    def test_irregular_class_raises(self, symbols, message):
+        # row 1 holds class 1 twice, row 2 not at all
+        labels = [[1, 1], [0, 0]]
+        with pytest.raises(InternalError, match=message):
+            _peel_class(labels, 1, symbols, [[0, 0], [0, 0]])
 
 
 class TestLiftToRealization:
