@@ -217,7 +217,8 @@ def build_circulant_outline(partition: Partition,
     # Resolve the 0 class back into singletons h1-2*h2+1 .. h1 through
     # repeated transversal extraction (the only lifting step the outline
     # still owes its symbol partition).
-    _peel_class(labels, 0, range(singles + 1, h1 + 1), labels)
+    adj = [[j for j, v in enumerate(row) if v == 0] for row in labels]
+    _peel_class(adj, 0, range(singles + 1, h1 + 1), labels)
 
     ones = Partition([1] * n)
     sym_partition = Partition([1] * h1 + list(parts[1:]))

@@ -2,18 +2,21 @@
 
 A reduction of a latin square modulo (P, Q, R) is an outline rectangle, and
 every outline rectangle arises this way.  The classical existence statement
-gives no algorithm, so this module supplies one: repeatedly split one row
-(then one column) off an amalgamated class, where each split is an
-exact-degree subgraph extraction on a bipartite multigraph, solved as a
-feasible-flow problem.  Once every line is a singleton, each symbol class
-is an r-regular bipartite graph on rows x columns and is peeled into r
-transversals by perfect matchings.  On a valid outline rectangle no
-extraction or matching can fail; any failure is an internal invariant
-violation.
+gives no algorithm, so this module supplies one: split every row class
+into units, then every column class (on the transpose), then every symbol
+class.  A line class of even size p is a multigraph on (cross class) x
+(symbol class) whose every degree is a multiple of p, so an Euler partition
+halves it exactly; a class whose size is not a power of two first has its
+largest power-of-two block cut off by an exact-degree subgraph extraction,
+solved as a feasible-flow problem.  Once every line is a singleton, each
+symbol class is an r-regular bipartite graph on rows x columns and is
+peeled into r transversals by perfect matchings.  On a valid outline
+rectangle no extraction, halving or matching can fail; any failure is an
+internal invariant violation.
 
 Splits are performed in a fixed order (rows, then columns, then symbols,
-lowest index first, one unit at a time) with deterministic solvers, so
-lifting is a pure function of its input.
+lowest index first) with deterministic solvers that read cells in symbol
+order, so lifting is a pure function of its input.
 
 Every cell is the outline's own ``{symbol: count}`` map, which is the
 sparse multiplicity row the flow solver takes (symbol l is right vertex l;
@@ -393,18 +396,119 @@ class _LiftState:
         self.cells = [list(col) for col in zip(*self.cells)]
 
 
+def _halve(cells: Sequence[dict[int, int]], singles: Sequence[dict[int, int]],
+           ) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """Split a line class of even size into two classes of half its size.
+
+    The class is a multigraph on (cell index) x (symbol) whose every degree
+    is a multiple of its size, so every degree is even.  Each half takes
+    ``m // 2`` of every entry.  The entries with odd ``m`` leave one
+    residual edge each, and every vertex of that residual graph still has
+    even degree.  It is walked as closed trails, each starting at the
+    lowest cell with an unwalked edge and taking the lowest symbol or cell
+    first: an edge walked from a cell to a symbol goes to the first half
+    and one walked back goes to the second, so each half gets exactly half
+    of every vertex's residual degree (Gabow 1976; Alon 2003).
+    """
+    first: list[dict[int, int]] = []
+    second: list[dict[int, int]] = []
+    edge_cell: list[int] = []
+    edge_sym: list[int] = []
+    cell_edges: list[list[int]] = []
+    sym_edges: list[list[int]] = [[] for _ in singles]
+    mixed: list[int] = []
+    for c, cell in enumerate(cells):
+        half = {}
+        odd = []
+        for s, m in cell.items():
+            if m > 1:
+                half[s] = m >> 1
+            if m & 1:
+                odd.append(s)
+        if not odd:
+            # untouched by the walk below, so both halves share one map
+            half = _shared(half, singles)
+            first.append(half)
+            second.append(half)
+            cell_edges.append(odd)
+            continue
+        mixed.append(c)
+        first.append(half)
+        second.append(dict(half))
+        odd.sort(reverse=True)
+        here = []
+        for s in odd:
+            here.append(len(edge_cell))
+            sym_edges[s].append(len(edge_cell))
+            edge_cell.append(c)
+            edge_sym.append(s)
+        cell_edges.append(here)
+    for edges in sym_edges:
+        edges.reverse()
+    used = [False] * len(edge_cell)
+    for start in mixed:
+        c = start
+        out_edges = cell_edges[c]
+        while True:
+            while out_edges and used[out_edges[-1]]:
+                out_edges.pop()
+            if not out_edges:
+                if c != start:
+                    raise InternalError(
+                        "odd degree in a line class being halved; the "
+                        "outline being lifted is corrupt")
+                break
+            e = out_edges.pop()
+            used[e] = True
+            s = edge_sym[e]
+            first[c][s] = first[c].get(s, 0) + 1
+            back = sym_edges[s]
+            while back and used[back[-1]]:
+                back.pop()
+            if not back:
+                raise InternalError(
+                    "odd degree in a line class being halved; the outline "
+                    "being lifted is corrupt")
+            e = back.pop()
+            used[e] = True
+            c = edge_cell[e]
+            second[c][s] = second[c].get(s, 0) + 1
+            out_edges = cell_edges[c]
+    for c in mixed:
+        first[c] = _shared(first[c], singles)
+        second[c] = _shared(second[c], singles)
+    return first, second
+
+
+def _split_class(cells: Sequence[dict[int, int]], p: int,
+                 col_parts: Sequence[int], sym_parts: Sequence[int],
+                 singles: Sequence[dict[int, int]],
+                 out: list[Sequence[dict[int, int]]]) -> None:
+    """Append the ``p`` unit rows of a row class of size ``p`` to ``out``.
+
+    A power of two is halved down to units; any other size first has its
+    largest power-of-two block cut off by one flow solve, so a class costs
+    popcount(p) - 1 solves.
+    """
+    if p == 1:
+        out.append(cells)
+    elif p & (p - 1):
+        a = 1 << (p.bit_length() - 1)
+        block, rest = _row_extraction(cells, a, col_parts, sym_parts, singles)
+        _split_class(block, a, col_parts, sym_parts, singles, out)
+        _split_class(rest, p - a, col_parts, sym_parts, singles, out)
+    else:
+        for half in _halve(cells, singles):
+            _split_class(half, p >> 1, col_parts, sym_parts, singles, out)
+
+
 def _split_rows_to_units(state: _LiftState) -> None:
-    i = 0
-    while i < len(state.row_parts):
-        while state.row_parts[i] > 1:
-            unit, rest = _row_extraction(
-                state.cells[i], 1, state.col_parts, state.sym_parts,
-                state.singles)
-            state.cells[i] = unit
-            state.cells.insert(i + 1, rest)
-            state.row_parts[i : i + 1] = [1, state.row_parts[i] - 1]
-            i += 1
-        i += 1
+    cells: list[Sequence[dict[int, int]]] = []
+    for row, p in zip(state.cells, state.row_parts):
+        _split_class(row, p, state.col_parts, state.sym_parts,
+                     state.singles, cells)
+    state.cells = cells
+    state.row_parts = [1] * len(cells)
 
 
 def _perfect_matching(adj: list[list[int]], n: int) -> list[int]:
@@ -452,18 +556,18 @@ def _perfect_matching(adj: list[list[int]], n: int) -> list[int]:
     return match_row
 
 
-def _peel_class(labels: Sequence[Sequence[int]], l: int,
-                symbols: Sequence[int], out: list[list[int]]) -> None:
-    """Write the cells of ``labels`` holding class ``l`` into ``out`` as
-    transversals, one per entry of ``symbols``.
+def _peel_class(adj: list[list[int]], l: int, symbols: Sequence[int],
+                out: list[list[int]]) -> None:
+    """Write the cells of class ``l`` into ``out`` as transversals, one per
+    entry of ``symbols``.
 
-    The class must be a len(symbols)-regular bipartite graph on rows x
-    columns: each symbol but the last takes one perfect matching of the
-    cells still unpeeled, and the last takes the one cell left in each row.
-    ``out`` may be ``labels`` itself.
+    ``adj[i]`` lists, in ascending order, the columns of row i whose cell
+    holds the class; it is consumed.  The class must be a
+    len(symbols)-regular bipartite graph on rows x columns: each symbol but
+    the last takes one perfect matching of the cells still unpeeled, and
+    the last takes the one cell left in each row.
     """
-    n = len(labels)
-    adj = [[j for j in range(n) if row[j] == l] for row in labels]
+    n = len(adj)
     for sym in symbols[:-1]:
         match = _perfect_matching(adj, n)
         for i, j in enumerate(match):
@@ -480,10 +584,15 @@ def _split_symbols_to_units(labels: list[list[int]],
                             sym_parts: Sequence[int]) -> list[list[int]]:
     """Resolve each symbol class into final symbols via matchings."""
     n = len(labels)
+    cols = list(range(n))  # one int object per column for all the lists
+    adjs = [[[] for _ in cols] for _ in range(len(sym_parts) + 1)]
+    for i, row in enumerate(labels):
+        for j, l in zip(cols, row):
+            adjs[l][i].append(j)
     grid = [[0] * n for _ in range(n)]
     base = 0
     for l, r in enumerate(sym_parts, start=1):
-        _peel_class(labels, l, range(base + 1, base + r + 1), grid)
+        _peel_class(adjs[l], l, range(base + 1, base + r + 1), grid)
         base += r
     return grid
 

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ from pils import (
     validate_outline,
     verify_realization,
 )
-from pils.lift import _peel_class
+from pils.lift import _halve, _peel_class
 from reference import (
     REDUCTION_COLS,
     REDUCTION_ROWS,
@@ -53,19 +55,45 @@ def compositions(draw, n: int) -> Partition:
     return Partition(parts)
 
 
+@st.composite
+def even_line_classes(draw):
+    """(size p, cross parts, symbol parts, cells) of a line class of even
+    size p: the sum of p unit lines, each spreading the symbol parts over
+    cells of the cross parts' sizes."""
+    p = draw(st.sampled_from([2, 4, 6, 8]), label="p")
+    cross = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5),
+                 label="cross")
+    syms = draw(compositions(sum(cross)), label="syms").parts
+    rng = draw(st.randoms(use_true_random=False))
+    cells = [Counter() for _ in cross]
+    for _ in range(p):
+        line = [l for l, r in enumerate(syms, start=1) for _ in range(r)]
+        rng.shuffle(line)
+        for cell, q in zip(cells, cross):
+            cell.update(line[:q])
+            del line[:q]
+    return p, cross, syms, [dict(cell) for cell in cells]
+
+
 def all_subgraph_degrees(mult):
-    """Exhaustive oracle: every achievable (left degrees, right degrees)."""
-    edges = [(i, j, m) for i, row in enumerate(mult)
-             for j, m in enumerate(row) if m]
-    seen = set()
-    for picks in itertools.product(*[range(m + 1) for _, _, m in edges]):
-        left = [0] * len(mult)
-        right = [0] * len(mult[0])
-        for (i, j, _), take in zip(edges, picks):
-            left[i] += take
-            right[j] += take
-        seen.add((tuple(left), tuple(right)))
-    return seen
+    """Exhaustive oracle: every achievable (left degrees, right degrees).
+
+    Row by row: ``reach`` maps each achievable vector of right degrees to
+    the left-degree prefixes achievable with it; a row takes 0..m of each
+    of its edges.
+    """
+    reach = {(0,) * len(mult[0]): {()}}
+    for row in mult:
+        grown = {}
+        for took in itertools.product(*[range(m + 1) for m in row]):
+            degree = sum(took)
+            for right, lefts in reach.items():
+                key = tuple(r + t for r, t in zip(right, took))
+                grown.setdefault(key, set()).update(
+                    left + (degree,) for left in lefts)
+        reach = grown
+    return {(left, right) for right, lefts in reach.items()
+            for left in lefts}
 
 
 class TestExtraction:
@@ -217,6 +245,35 @@ class TestLift:
             outline = reduce(sq, P, Q, R)
             assert reduce(lift(outline), P, Q, R).cells == outline.cells
 
+    def test_class_of_31_takes_popcount_minus_one_solves(self, monkeypatch):
+        lift_module = importlib.import_module("pils.lift")
+        solve = lift_module._solve_extraction
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(lift_module, "_solve_extraction", counting)
+        outline = reduce(random_latin_square(31, random.Random(31)),
+                         Partition([31]), Partition([16, 8, 4, 2, 1]),
+                         Partition([8, 8, 8, 7]))
+        lift(outline)
+        # the column classes are powers of two and are halved without a
+        # solve; 31 = 16 + 8 + 4 + 2 + 1 cuts off four blocks
+        assert len(calls) <= 4
+
+    def test_lift_ignores_count_map_order(self):
+        outline = reduce(random_latin_square(31, random.Random(32)),
+                         Partition([31]), Partition([16, 8, 4, 2, 1]),
+                         Partition([8, 8, 8, 7]))
+        reordered = OutlineRectangle(
+            outline.row_partition, outline.col_partition,
+            outline.sym_partition,
+            [[dict(reversed(cell.items())) for cell in row]
+             for row in outline.counts])
+        assert lift(outline).grid == lift(reordered).grid
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_round_trip_property(self, data):
@@ -234,6 +291,24 @@ class TestLift:
             assert validate_outline(split_row(outline, i, a)) == []
 
 
+class TestHalve:
+    @settings(max_examples=200, deadline=None)
+    @given(case=even_line_classes())
+    def test_halves_carry_half_of_every_degree(self, case):
+        p, cross, syms, cells = case
+        singles = [{s: 1} for s in range(len(syms) + 1)]
+        halves = _halve(cells, singles)
+        for half in halves:
+            assert all(m > 0 for cell in half for m in cell.values())
+            assert [sum(cell.values()) for cell in half] == \
+                [p // 2 * q for q in cross]
+            assert [sum(cell.get(l, 0) for cell in half)
+                    for l in range(1, len(syms) + 1)] == \
+                [p // 2 * r for r in syms]
+        for cell, a, b in zip(cells, *halves):
+            assert Counter(a) + Counter(b) == Counter(cell)
+
+
 class TestPeelClass:
     @pytest.mark.parametrize("symbols, message", [
         ((1,), "did not resolve to a transversal"),
@@ -241,9 +316,8 @@ class TestPeelClass:
     ])
     def test_irregular_class_raises(self, symbols, message):
         # row 1 holds class 1 twice, row 2 not at all
-        labels = [[1, 1], [0, 0]]
         with pytest.raises(InternalError, match=message):
-            _peel_class(labels, 1, symbols, [[0, 0], [0, 0]])
+            _peel_class([[0, 1], []], 1, symbols, [[0, 0], [0, 0]])
 
 
 class TestLiftToRealization:
