@@ -4,7 +4,10 @@ Everything here is classical: idempotent squares of every order except 2,
 uniform realizations built over an idempotent pattern, realizations with one
 block of order s and m singletons built by prolonging a transversal-rich
 square, and a verified search fallback for the two-size partitions the main
-pipeline cannot reach.  The searches are deterministic and the fallback's
+pipeline cannot reach.  For m != 2 (mod 4) the transversal-rich square is a
+group table: the cyclic one for odd m, and for m = 0 (mod 4) the addition
+table of Z_2^a x Z_o, whose transversals are the symbol classes of an
+orthogonal mate.  The searches are deterministic and the fallback's
 completion branch records every invocation for audit.
 """
 
@@ -21,7 +24,6 @@ from .core import (
     Partition,
     PreconditionError,
     SubsquareCertificate,
-    reduce as core_reduce,
     validate_outline,
     verify_realization,
 )
@@ -87,160 +89,49 @@ def ls_uniform(a: int, k: int) -> tuple[LatinSquare, SubsquareCertificate]:
     return square, verify_realization(square, partition)
 
 
+def _uniform_outline(a: int, k: int) -> OutlineRectangle:
+    """The outline square of :func:`ls_uniform`'s (a^k) realization: cell
+    (i, j) holds symbol idem(i, j) a*a times, idem idempotent of order k."""
+    idem = idempotent_square(k).grid
+    uniform = Partition([a] * k)
+    outline = OutlineRectangle(uniform, uniform, uniform,
+                               [[{s: a * a} for s in row] for row in idem])
+    bad = validate_outline(outline)
+    if bad:
+        raise InternalError(f"uniform outline invalid: {bad[0]}")
+    return outline
+
+
 # ---------------------------------------------------------------------------
-# Finite-field MOLS and transversal-rich squares
-
-
-def _prime_power(q: int) -> tuple[int, int] | None:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            a = 0
-            while q % p == 0:
-                q //= p
-                a += 1
-            return (p, a) if q == 1 else None
-    return None
-
-
-def _poly_mul_mod(x: Sequence[int], y: Sequence[int], mod: Sequence[int],
-                  p: int) -> tuple[int, ...]:
-    out = [0] * (len(x) + len(y) - 1)
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                out[i + j] = (out[i + j] + xi * yj) % p
-    # reduce by the monic modulus
-    deg = len(mod) - 1
-    for i in range(len(out) - 1, deg - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(deg):
-                out[i - deg + j] = (out[i - deg + j] - c * mod[j]) % p
-    return tuple(out[:deg])
-
-
-def _irreducible(p: int, a: int) -> tuple[int, ...]:
-    """A monic irreducible polynomial of degree a over GF(p), low-first."""
-
-    def polys(deg: int) -> Iterator[tuple[int, ...]]:
-        for code in range(p ** deg):
-            coeffs = []
-            c = code
-            for _ in range(deg):
-                coeffs.append(c % p)
-                c //= p
-            yield tuple(coeffs) + (1,)
-
-    def divides(d: Sequence[int], f: list[int]) -> bool:
-        f = list(f)
-        while len(f) >= len(d) and any(f):
-            while f and f[-1] == 0:
-                f.pop()
-            if len(f) < len(d):
-                break
-            c = f[-1]
-            off = len(f) - len(d)
-            for i, di in enumerate(d):
-                f[off + i] = (f[off + i] - c * di) % p
-        while f and f[-1] == 0:
-            f.pop()
-        return not f
-
-    for cand in polys(a):
-        if cand[0] == 0:
-            continue
-        ok = True
-        for deg in range(1, a // 2 + 1):
-            for d in polys(deg):
-                if divides(d, list(cand)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return cand
-    raise InternalError(f"no irreducible polynomial for GF({p}^{a})")
-
-
-@lru_cache(maxsize=None)
-def _field_tables(q: int) -> tuple[tuple[tuple[int, ...], ...],
-                                   tuple[tuple[int, ...], ...]]:
-    """Addition and multiplication tables of GF(q), elements 0..q-1."""
-    pa = _prime_power(q)
-    if pa is None:
-        raise PreconditionError(f"{q} is not a prime power")
-    p, a = pa
-    if a == 1:
-        add = tuple(tuple((x + y) % p for y in range(p)) for x in range(p))
-        mul = tuple(tuple((x * y) % p for y in range(p)) for x in range(p))
-        return add, mul
-    mod = _irreducible(p, a)
-
-    def decode(e: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(a):
-            out.append(e % p)
-            e //= p
-        return tuple(out)
-
-    def encode(v: Sequence[int]) -> int:
-        out = 0
-        for c in reversed(v):
-            out = out * p + c
-        return out
-
-    elems = [decode(e) for e in range(q)]
-    add = tuple(tuple(encode([(x + y) % p for x, y in zip(ex, ey)])
-                      for ey in elems) for ex in elems)
-    mul = tuple(tuple(encode(_poly_mul_mod(ex, ey, mod, p)) for ey in elems)
-                for ex in elems)
-    return add, mul
-
-
-def _mols_prime_power(q: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Two orthogonal squares over GF(q), 0-based symbols."""
-    add, mul = _field_tables(q)
-    first = [[add[i][j] for j in range(q)] for i in range(q)]
-    # any multiplier other than 0 and 1 keeps the pair orthogonal
-    c = 2 if q > 2 else 1
-    second = [[add[mul[c][i]][j] for j in range(q)] for i in range(q)]
-    return first, second
-
-
-def _mols_product(pair_a, pair_b):
-    a1, a2 = pair_a
-    b1, b2 = pair_b
-    ma, mb = len(a1), len(b1)
-
-    def combine(x, y):
-        return [[x[i // mb][j // mb] * mb + y[i % mb][j % mb]
-                 for j in range(ma * mb)] for i in range(ma * mb)]
-
-    return combine(a1, b1), combine(a2, b2)
+# Group-table MOLS and transversal-rich squares
 
 
 def _mols(m: int) -> tuple[list[list[int]], list[list[int]]]:
-    """A pair of MOLS(m) when every prime-power factor of m exceeds 2."""
-    factors: list[int] = []
-    rest = m
-    for p in range(2, m + 1):
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            q = 1
-            while rest % p == 0:
-                rest //= p
-                q *= p
-            factors.append(q)
-    if rest > 1:
-        factors.append(rest)
-    if any(q == 2 for q in factors):
+    """A pair of MOLS(m) for m != 2 (mod 4), 0-based symbols.
+
+    With m = 2^a * o, o odd, index i is the pair (i // o, i % o) of
+    Z_2^a x Z_o.  The first square is the group's addition table; the mate
+    adds y to theta(x), where theta multiplies the Z_2^a part by X modulo
+    X^a + X + 1 and doubles the Z_o part.  That polynomial vanishes at
+    neither 0 nor 1, so theta and theta - 1 are both bijections and the two
+    squares are orthogonal.
+    """
+    a, o = 0, m
+    while o % 2 == 0:
+        a, o = a + 1, o // 2
+    if a == 1:
         raise PreconditionError(f"no direct-product mate for order {m}")
-    pair = _mols_prime_power(factors[0])
-    for q in factors[1:]:
-        pair = _mols_product(pair, _mols_prime_power(q))
-    return pair
+    top = 1 << a
+
+    def times_x(x: int) -> int:
+        x <<= 1
+        return x ^ (top | 3) if x & top else x
+
+    first = [[(i // o ^ j // o) * o + (i + j) % o for j in range(m)]
+             for i in range(m)]
+    second = [[(times_x(i // o) ^ j // o) * o + (2 * i + j) % o
+               for j in range(m)] for i in range(m)]
+    return first, second
 
 
 def _turn_square(m: int) -> list[list[int]]:
@@ -600,7 +491,4 @@ def _two_size_outline(partition: Partition) -> OutlineRectangle:
     u = parts.count(a)
     if not _addon_bound_holds(u, a, parts[u:]):
         return _complete_outline_square(partition)
-    uniform = Partition([b] * partition.k)
-    base_square, _ = ls_uniform(b, partition.k)
-    body = core_reduce(base_square, uniform, uniform, uniform)
-    return add_on_step(body, partition, u)
+    return add_on_step(_uniform_outline(b, partition.k), partition, u)

@@ -80,7 +80,8 @@ def outline_to_json(outline: OutlineRectangle) -> dict:
 
 def outline_from_json(data) -> OutlineRectangle:
     """The inverse of :func:`outline_to_json`; raises ValueError on input of
-    another shape (the outline's constructor checks symbols and counts)."""
+    another shape or of an order above :data:`MAX_ORDER` (the outline's
+    constructor checks symbols and counts)."""
     if not isinstance(data, dict) or not all(
             isinstance(data.get(key), list)
             for key in ("rows", "cols", "syms", "cells")):
@@ -88,6 +89,8 @@ def outline_from_json(data) -> OutlineRectangle:
     for key in ("rows", "cols", "syms"):
         if not all(type(p) is int for p in data[key]):
             raise ValueError(f"outline JSON {key} must list integers")
+    if sum(data["rows"]) > MAX_ORDER:
+        raise ValueError(f"order above the limit {MAX_ORDER}")
     if not all(isinstance(row, list) and
                all(isinstance(cell, dict) for cell in row)
                for row in data["cells"]):

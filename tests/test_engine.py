@@ -1,6 +1,7 @@
 import importlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pils import (
     InternalError,
@@ -72,6 +73,21 @@ class TestConstructMEqual:
         verify_realization(sq, P)
 
 
+@st.composite
+def main_partitions(draw, max_order: int = 40) -> Partition:
+    """A non-increasing partition of order at most ``max_order`` whose
+    largest part occurs at least three times."""
+    h = draw(st.integers(1, max_order // 3), label="h1")
+    m = draw(st.integers(3, max_order // h), label="m")
+    room = max_order - m * h
+    tail = []
+    while room and draw(st.booleans()):
+        part = draw(st.integers(1, min(h, room)))
+        tail.append(part)
+        room -= part
+    return Partition([h] * m + sorted(tail, reverse=True))
+
+
 class TestConstructMain:
     @pytest.mark.parametrize("parts", [
         (3, 3, 3, 2, 1),
@@ -88,6 +104,13 @@ class TestConstructMain:
         sq, cert, _ = construct_main(P)
         assert sq.order == P.n
         verify_realization(sq, P)
+
+    @settings(max_examples=150, deadline=None)
+    @given(P=main_partitions())
+    def test_random_partitions_realize_deterministically(self, P):
+        sq, _, _ = construct_main(P)
+        verify_realization(sq, P)
+        assert construct_main(P)[0].grid == sq.grid
 
     def test_requires_three_equal_largest(self):
         with pytest.raises(PreconditionError):
