@@ -2,13 +2,17 @@
 
 Everything here is classical: idempotent squares of every order except 2,
 uniform realizations built over an idempotent pattern, realizations with one
-block of order s and m singletons built by prolonging a transversal-rich
-square, and a verified search fallback for the two-size partitions the main
-pipeline cannot reach.  For m != 2 (mod 4) the transversal-rich square is a
-group table: the cyclic one for odd m, and for m = 0 (mod 4) the addition
-table of Z_2^a x Z_o, whose transversals are the symbol classes of an
-orthogonal mate.  The searches are deterministic and the fallback's
-completion branch records every invocation for audit.
+block of order s and m singletons built by prolonging a square of order m
+along s + 1 disjoint transversals, and a verified search fallback for the
+two-size partitions the main pipeline cannot reach.  For m != 2 (mod 4) the
+transversal-rich square is a group table: the cyclic one for odd m, and for
+m = 0 (mod 4) the addition table of Z_2^a x Z_o, whose transversals are the
+symbol classes of an orthogonal mate.  For m = 2 (mod 4) it is the
+idempotent square, whose diagonal is one transversal and around which a
+most-constrained-row search packs the others; where that packing gets stuck
+(high s at small m) the outline square is completed directly instead.  The
+searches are deterministic and the fallback's completion branch records
+every invocation for audit.
 """
 
 from __future__ import annotations
@@ -32,6 +36,13 @@ from .lift import lift_to_realization
 # Every use of the completion solver, for auditing which inputs ever reach
 # the final fallback branch.
 completion_invocations: list[tuple[int, ...]] = []
+
+# Nodes the completion solver may visit before it gives up.
+_COMPLETION_NODES = 5_000_000
+# Nodes each transversal search of the packing may visit.  The hardest
+# transversal at n <= 30 takes about 13k; a hopeless search at m <= 50
+# gives up within about 1.5 s.
+_TRANSVERSAL_NODES = 200_000
 
 
 def idempotent_square(n: int) -> LatinSquare:
@@ -134,66 +145,73 @@ def _mols(m: int) -> tuple[list[list[int]], list[list[int]]]:
     return first, second
 
 
-def _turn_square(m: int) -> list[list[int]]:
-    """Cyclic square with one intercalate turned; gains transversals for even m."""
-    half = m // 2
-    grid = [[(i + j) % m + 1 for j in range(m)] for i in range(m)]
-    grid[0][0], grid[0][half] = grid[0][half], grid[0][0]
-    grid[half][0], grid[half][half] = grid[half][half], grid[half][0]
-    return grid
+def _pack_transversals(grid: Sequence[Sequence[int]], count: int,
+                       ) -> list[list[int]] | None:
+    """The main diagonal and ``count - 1`` more transversals of ``grid``, all
+    pairwise cell-disjoint; the diagonal must hold distinct symbols.
 
-
-def _find_disjoint_transversals(grid: Sequence[Sequence[int]], count: int,
-                                budget: int = 2_000_000,
-                                ) -> list[list[int]] | None:
-    """Up to ``count`` pairwise cell-disjoint transversals, by backtracking.
-
-    Each transversal is returned as a column list indexed by row (0-based).
-    Complete within the node budget; None when none exists or the budget
+    Each transversal is a column list indexed by row (0-based).  They are
+    found one at a time and never revised, each by its own search of at most
+    :data:`_TRANSVERSAL_NODES` nodes; None when a search is exhausted or
     runs out.
     """
     m = len(grid)
-    taken = [[False] * m for _ in range(m)]
-    found: list[list[int]] = []
+    # clear[v][r]: every column but the one holding symbol v + 1 in row r
+    clear = [[0] * m for _ in range(m)]
+    for r, row in enumerate(grid):
+        for c, v in enumerate(row):
+            clear[v - 1][r] = ~(1 << c)
+    free = [((1 << m) - 1) ^ (1 << r) for r in range(m)]  # cells still open
+    found = [list(range(m))]
+    while len(found) < count:
+        columns = _next_transversal(grid, clear, free)
+        if columns is None:
+            return None
+        for r, c in enumerate(columns):
+            free[r] ^= 1 << c
+        found.append(columns)
+    return found
+
+
+def _next_transversal(grid: Sequence[Sequence[int]], clear: list[list[int]],
+                      free: list[int]) -> list[int] | None:
+    """A transversal inside the open cells ``free`` (a column mask per row).
+
+    Deterministic backtracking that always branches on the most constrained
+    row: the fewest columns that are open, untaken and of an unused symbol,
+    ties to the lowest row.  Columns are tried in increasing order.
+    """
+    columns = [-1] * len(grid)
+    rows = list(range(len(grid)))  # the rows still open, increasing
+    masks = list(free)  # per open row, the columns it may still take
+    # per branching: open rows and their masks before it, the index of its
+    # row among them, and the columns not yet tried
+    stack: list[tuple[list[int], list[int], int, int]] = []
     nodes = 0
-
-    def one(row: int, cols: int, syms: int, cur: list[int]) -> Iterator[list[int]]:
-        nonlocal nodes
-        if row == m:
-            yield list(cur)
-            return
-        for c in range(m):
-            bit = 1 << c
-            if cols & bit or taken[row][c]:
-                continue
-            s = 1 << (grid[row][c] - 1)
-            if syms & s:
-                continue
-            nodes += 1
-            if nodes > budget:
-                return
-            cur.append(c)
-            yield from one(row + 1, cols | bit, syms | s, cur)
-            cur.pop()
-
-    def pack() -> bool:
-        nonlocal nodes
-        if len(found) == count:
-            return True
-        for trans in one(0, 0, 0, []):
-            for r, c in enumerate(trans):
-                taken[r][c] = True
-            found.append(trans)
-            if pack():
-                return True
-            found.pop()
-            for r, c in enumerate(trans):
-                taken[r][c] = False
-            if nodes > budget:
-                return False
-        return False
-
-    return found if pack() else None
+    while rows:
+        counts = [mask.bit_count() for mask in masks]
+        i = counts.index(min(counts))
+        stack.append((rows, masks, i, masks[i]))
+        while True:  # the next untried column, backtracking as needed
+            if not stack:
+                return None
+            rows, masks, i, options = stack[-1]
+            if options:
+                break
+            stack.pop()
+        nodes += 1
+        if nodes > _TRANSVERSAL_NODES:
+            return None
+        low = options & -options
+        stack[-1] = (rows, masks, i, options ^ low)
+        r = rows[i]
+        c = low.bit_length() - 1
+        columns[r] = c
+        keep, symbol = ~low, clear[grid[r][c] - 1]
+        rows = rows[:i] + rows[i + 1:]
+        masks = [mask & keep & symbol[row]
+                 for row, mask in zip(rows, masks[:i] + masks[i + 1:])]
+    return columns
 
 
 def _transversal_square(m: int, count: int,
@@ -216,14 +234,11 @@ def _transversal_square(m: int, count: int,
                 if level < count:
                     transversals[level][i] = j
         return _diagonalize(grid, transversals)
-    # m = 2 mod 4: no direct-product mate; search a turned cyclic square.
-    # The budget is deliberately small: when the packing is not found almost
-    # immediately the outline-completion route is cheaper than persisting.
-    grid = _turn_square(m)
-    found = _find_disjoint_transversals(grid, count, budget=150_000)
-    if found is None:
-        return None
-    return _diagonalize(grid, found)
+    # m = 2 mod 4: no direct-product mate; the idempotent square's diagonal
+    # is the first transversal, and the rest are packed around it
+    grid = [list(row) for row in idempotent_square(m).grid]
+    found = _pack_transversals(grid, count)
+    return None if found is None else (grid, found)
 
 
 def _diagonalize(grid: list[list[int]],
@@ -249,8 +264,10 @@ def ls_one_big(s: int, m: int) -> tuple[LatinSquare, SubsquareCertificate]:
 
     Normal form with the block first, on rows, columns and symbols [s].
     Exists whenever s <= m - 1; built by prolonging a square of order m with
-    s + 1 disjoint transversals where such a square is on hand, otherwise by
-    completing the outline square directly.  Results are cached; they are
+    s + 1 disjoint transversals: a group table for m != 2 (mod 4), else the
+    idempotent square with transversals packed into it.  Where the packing
+    gets stuck the outline square is completed directly, which raises
+    _CompletionBudget if its search runs out.  Results are cached; they are
     immutable values.
     """
     if s < 0 or m < 1:
@@ -306,14 +323,14 @@ def _embed_block(m_grid: list[list[int]], transversals: list[list[int]],
 # Outline-square completion (the last-resort constructive search)
 
 
-def _complete_outline_square(partition: Partition,
-                             node_budget: int = 5_000_000) -> OutlineRectangle:
+def _complete_outline_square(partition: Partition) -> OutlineRectangle:
     """Fill c(i,j,l) meeting all outline-square equations, diagonal fixed.
 
     Symbols are processed largest class first; each symbol's placement is a
     capacitated transportation problem enumerated cell by cell (row-major,
     fair share first), and exhaustion of one symbol's choices backtracks
-    chronologically into the previous symbol.
+    chronologically into the previous symbol.  Raises _CompletionBudget
+    after :data:`_COMPLETION_NODES` nodes.
     """
     completion_invocations.append(partition.parts)
     parts = partition.parts
@@ -321,6 +338,7 @@ def _complete_outline_square(partition: Partition,
     rem = [[parts[i] * parts[j] if i != j else 0 for j in range(k)]
            for i in range(k)]
     nodes = 0
+    node_budget = _COMPLETION_NODES
 
     def symbol_solutions(l: int, later: tuple[int, ...],
                          ) -> Iterator[list[tuple[int, int, int]]]:
@@ -394,7 +412,7 @@ def _complete_outline_square(partition: Partition,
             for v in order:
                 nodes += 1
                 if nodes > node_budget:
-                    raise _CompletionBudget(placed)
+                    raise _CompletionBudget(partition, node_budget, placed)
                 row_rem[i] -= v
                 col_rem[j] -= v
                 if v:
@@ -446,11 +464,14 @@ def _complete_outline_square(partition: Partition,
     return outline
 
 
-class _CompletionBudget(InternalError):
-    def __init__(self, partial):
+class _CompletionBudget(RuntimeError):
+    """The completion search ran out of nodes: whether the outline square
+    can be completed is left unknown, which is not a defect."""
+
+    def __init__(self, partition: Partition, budget: int, partial):
         super().__init__(
-            f"outline completion exceeded its node budget; partial "
-            f"assignment of size {len(partial)}")
+            f"outline completion for {partition} exceeded its budget of "
+            f"{budget:,} nodes; partial assignment of size {len(partial)}")
         self.partial = list(partial)
 
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes are a contract for shell harnesses: 0 success/exists, 1 proven
-nonexistent, 2 unknown or inconclusive, 3 out of constructive scope, 64
-usage errors, 70 internal construction failure.
+nonexistent, 2 unknown or inconclusive (including a construction search
+that ran out of its node budget), 3 out of constructive scope, 64 usage
+errors, 70 internal construction failure.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (
     reduce as reduce_square,
     verify_realization,
 )
+from .base import _CompletionBudget
 from .engine import construct_ils, construct_main
 from .lift import lift
 from .oracle import DEFAULT_BUDGET, find_realization_bruteforce
@@ -301,6 +303,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except _CompletionBudget as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return EX_UNKNOWN
     except InternalError as exc:
         print(f"internal failure: {exc}", file=sys.stderr)
         return EX_INTERNAL

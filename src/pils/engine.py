@@ -255,7 +255,7 @@ def construct_main(partition: Partition,
             outline, inner = _m_equal_outline(level_partition(start), start)
             trace.add("rebuild", level=start, inner=inner.steps)
             current_level = start
-        except (PreconditionError, InternalError) as exc:
+        except PreconditionError as exc:
             # a gap instance of the even construction; walk the full chain
             trace.add("rebuild-failed", level=start,
                       error=type(exc).__name__, reason=str(exc))

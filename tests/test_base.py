@@ -10,12 +10,8 @@ from pils import (
     two_size_fallback,
     verify_realization,
 )
-from pils.base import (
-    _find_disjoint_transversals,
-    _mols,
-    _transversal_square,
-    _turn_square,
-)
+from pils import base
+from pils.base import _mols, _pack_transversals, _transversal_square
 
 
 class TestIdempotent:
@@ -125,15 +121,26 @@ class TestTransversalMachinery:
         sq, _ = ls_one_big(m - 1, m)
         verify_realization(sq, Partition([m - 1] + [1] * m))
 
-    def test_turn_square_is_latin(self):
-        for m in (6, 10):
-            assert is_latin(_turn_square(m))
-
-    def test_packing_finds_disjoint_transversals(self):
-        found = _find_disjoint_transversals(_turn_square(6), 3)
-        assert found is not None
+    @pytest.mark.parametrize("m,count", [(6, 3), (10, 6), (14, 10),
+                                         (18, 13), (22, 9), (26, 5)])
+    def test_packing_in_idempotent_square(self, m, count):
+        grid = [list(row) for row in idempotent_square(m).grid]
+        found = _pack_transversals(grid, count)
+        assert found is not None and len(found) == count
+        assert found[0] == list(range(m))
+        for t in found:
+            assert sorted(t) == list(range(m))
+            assert len({grid[r][c] for r, c in enumerate(t)}) == m
+        for t in found[1:]:
+            assert all(c != r for r, c in enumerate(t))
         cells = {(r, c) for t in found for r, c in enumerate(t)}
-        assert len(cells) == 18
+        assert len(cells) == m * count
+        assert _pack_transversals(grid, count) == found
+
+    def test_packing_gives_up_where_stuck(self):
+        grid = [list(row) for row in idempotent_square(6).grid]
+        assert _pack_transversals(grid, 4) is None
+        assert _transversal_square(6, 4) is None
 
     def test_diagonalized_square_has_transversal_diagonal(self):
         for m in (5, 8, 10):
@@ -142,6 +149,27 @@ class TestTransversalMachinery:
             grid, transversals = got
             assert transversals[0] == list(range(m))
             assert len({grid[i][i] for i in range(m)}) == m
+
+
+def test_one_big_family_up_to_order_30():
+    # the corner where the transversal packing gets stuck and the outline
+    # completion takes over: m = 2 (mod 4) with s at least this
+    corner = {6: 3, 10: 6, 14: 10}
+    ls_one_big.cache_clear()  # count every completion, not cache hits
+    before = len(base.completion_invocations)
+    completed = set()
+    try:
+        for m in range(3, 29):
+            for s in range(2, min(m - 1, 30 - m) + 1):
+                partition = Partition([s] + [1] * m)
+                square, _ = ls_one_big(s, m)
+                verify_realization(square, partition)
+                if len(base.completion_invocations) > before:
+                    before = len(base.completion_invocations)
+                    completed.add((s, m))
+    finally:
+        ls_one_big.cache_clear()
+    assert all(m % 4 == 2 and s >= corner.get(m, m) for s, m in completed)
 
 
 class TestTwoSizeFallback:

@@ -81,6 +81,21 @@ class TestConstruct:
     def test_unknown_is_out_of_scope(self, capsys):
         assert main(["construct", "5,3,2,2,1"]) == 3
 
+    def test_exhausted_completion_budget_is_inconclusive(self, capsys,
+                                                         monkeypatch):
+        # (4, 1^6) is past what the transversal packing reaches, so it goes
+        # to the outline completion; one node cannot complete it
+        from pils import base
+
+        monkeypatch.setattr(base, "_COMPLETION_NODES", 1)
+        base.ls_one_big.cache_clear()
+        try:
+            assert main(["construct", "4,1^6"]) == 2
+        finally:
+            base.ls_one_big.cache_clear()
+        err = capsys.readouterr().err
+        assert "budget of 1 nodes" in err and "internal" not in err
+
     def test_csv_round_trip(self, capsys, tmp_path):
         assert main(["construct", "2^3", "--format", "csv"]) == 0
         text = capsys.readouterr().out

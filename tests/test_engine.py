@@ -156,7 +156,7 @@ class TestConstructMain:
         def fail_once(partition, m):
             if not failures:
                 failures.append(m)
-                raise InternalError("injected")
+                raise PreconditionError("injected")
             return original(partition, m)
 
         monkeypatch.setattr(engine, "_m_equal_outline", fail_once)
@@ -165,10 +165,20 @@ class TestConstructMain:
         verify_realization(sq, P)
         assert failures == [4]
         assert trace.steps[:2] == [
-            {"op": "rebuild-failed", "level": 4, "error": "InternalError",
+            {"op": "rebuild-failed", "level": 4, "error": "PreconditionError",
              "reason": "injected"},
             {"op": "uniform-base", "a": 1, "k": 14},
         ]
+
+    def test_defect_in_rebuild_is_not_swallowed(self, monkeypatch):
+        engine = importlib.import_module("pils.engine")
+
+        def broken(partition, m):
+            raise InternalError("injected")
+
+        monkeypatch.setattr(engine, "_m_equal_outline", broken)
+        with pytest.raises(InternalError, match="injected"):
+            construct_main(Partition((4, 4, 4, 2) + (1,) * 10))
 
 
 class TestConstructIls:
