@@ -376,13 +376,8 @@ def _complete_outline_square(partition: Partition) -> OutlineRectangle:
             row_acc[i] += rem[i][j]
             col_acc[j] += rem[i][j]
 
-        def walk(idx: int, placed: list[tuple[int, int, int]],
-                 ) -> Iterator[list[tuple[int, int, int]]]:
-            nonlocal nodes
-            if idx == len(cells):
-                if all(v == 0 for v in row_rem) and all(v == 0 for v in col_rem):
-                    yield list(placed)
-                return
+        def values(idx: int) -> list[int]:
+            """The counts cell ``idx`` may take now, fair share first."""
             i, j = cells[idx]
             cap = rem[i][j]
             hi = min(cap, row_rem[i], col_rem[j])
@@ -390,7 +385,7 @@ def _complete_outline_square(partition: Partition) -> OutlineRectangle:
                      col_rem[j] - col_ahead[idx],
                      cap - future_max[(i, j)])
             if lo > hi:
-                return
+                return []
             # proportional share first: greedy extremes starve the symbols
             # still to come, so spread each line's demand over its capacity
             fair = hi
@@ -409,21 +404,48 @@ def _complete_outline_square(partition: Partition) -> OutlineRectangle:
                 if fair - step >= lo:
                     order.append(fair - step)
                 step += 1
-            for v in order:
-                nodes += 1
-                if nodes > node_budget:
-                    raise _CompletionBudget(partition, node_budget, placed)
-                row_rem[i] -= v
-                col_rem[j] -= v
-                if v:
-                    placed.append((i, j, v))
-                yield from walk(idx + 1, placed)
-                if v:
-                    placed.pop()
+            return order
+
+        def complete() -> bool:
+            return all(v == 0 for v in row_rem) and \
+                all(v == 0 for v in col_rem)
+
+        if not cells:
+            if complete():
+                yield []
+            return
+        # depth-first over the cells in order, one frame per open cell:
+        # [its values, how many were tried].  An explicit stack, because a
+        # symbol can spread over more cells than Python allows nested calls
+        placed: list[tuple[int, int, int]] = []
+        stack = [[values(0), 0]]
+        while stack:
+            frame = stack[-1]
+            idx = len(stack) - 1
+            i, j = cells[idx]
+            choices, pos = frame
+            if pos:
+                v = choices[pos - 1]
                 row_rem[i] += v
                 col_rem[j] += v
-
-        yield from walk(0, [])
+                if v:
+                    placed.pop()
+            if pos == len(choices):
+                stack.pop()
+                continue
+            v = choices[pos]
+            frame[1] = pos + 1
+            nodes += 1
+            if nodes > node_budget:
+                raise _CompletionBudget(partition, node_budget, placed)
+            row_rem[i] -= v
+            col_rem[j] -= v
+            if v:
+                placed.append((i, j, v))
+            if idx + 1 < len(cells):
+                stack.append([values(idx + 1), 0])
+            elif complete():
+                yield list(placed)
 
     order = sorted(range(k), key=lambda l: (-parts[l], l))
     chosen: list[list[tuple[int, int, int]]] = []

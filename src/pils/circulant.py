@@ -214,9 +214,9 @@ def build_circulant_outline(partition: Partition,
                     swap(rr, cc, sym, 0)
         prefix += hi
 
-    # Resolve the 0 class back into singletons h1-2*h2+1 .. h1 through
-    # repeated transversal extraction (the only lifting step the outline
-    # still owes its symbol partition).
+    # Resolve the 0 class back into singletons h1-2*h2+1 .. h1, split into
+    # transversals the way the lift splits a symbol class (the only lifting
+    # step the outline still owes its symbol partition).
     adj = [[j for j, v in enumerate(row) if v == 0] for row in labels]
     _peel_class(adj, 0, range(singles + 1, h1 + 1), labels)
 

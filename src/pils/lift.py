@@ -9,10 +9,11 @@ class.  A line class of even size p is a multigraph on (cross class) x
 halves it exactly; a class whose size is not a power of two first has its
 largest power-of-two block cut off by an exact-degree subgraph extraction,
 solved as a feasible-flow problem.  Once every line is a singleton, each
-symbol class is an r-regular bipartite graph on rows x columns and is
-peeled into r transversals by perfect matchings.  On a valid outline
-rectangle no extraction, halving or matching can fail; any failure is an
-internal invariant violation.
+symbol class is an r-regular bipartite graph on rows x columns.  It is
+halved the same way, by an Euler partition into two (r/2)-regular classes,
+down to transversals; an odd degree first gives one symbol a perfect
+matching.  On a valid outline rectangle no extraction, halving or matching
+can fail; any failure is an internal invariant violation.
 
 Splits are performed in a fixed order (rows, then columns, then symbols,
 lowest index first) with deterministic solvers that read cells in symbol
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .core import (
@@ -561,28 +563,111 @@ def _peel_class(adj: list[list[int]], l: int, symbols: Sequence[int],
     """Write the cells of class ``l`` into ``out`` as transversals, one per
     entry of ``symbols``.
 
-    ``adj[i]`` lists, in ascending order, the columns of row i whose cell
-    holds the class; it is consumed.  The class must be a
-    len(symbols)-regular bipartite graph on rows x columns: each symbol but
-    the last takes one perfect matching of the cells still unpeeled, and
-    the last takes the one cell left in each row.
+    ``adj[i]`` lists the columns of row i whose cell holds the class; it is
+    consumed.  The class must be an r-regular bipartite graph on rows x
+    columns, r = len(symbols).  An odd r > 1 gives ``symbols[0]`` one
+    perfect matching and goes on with the rest; an even r is halved by
+    :func:`_halve_class`.  So a class costs one matching per odd degree met
+    on the way down, and none when r is a power of two.
     """
-    n = len(adj)
-    for sym in symbols[:-1]:
-        match = _perfect_matching(adj, n)
+    r = len(symbols)
+    if r > 1 and r & 1:
+        sym = symbols[0]
+        match = _perfect_matching(adj, len(adj))
         for i, j in enumerate(match):
             out[i][j] = sym
             adj[i].remove(j)
-    for i, cols in enumerate(adj):
-        if len(cols) != 1:
+        symbols = symbols[1:]
+        r -= 1
+    if r == 1:
+        if set(map(len, adj)) != {1} or \
+                len(set(chain.from_iterable(adj))) != len(adj):
             raise InternalError(
                 f"class {l} did not resolve to a transversal")
-        out[i][cols[0]] = symbols[-1]
+        sym = symbols[0]
+        for row, (j,) in zip(out, adj):
+            row[j] = sym
+        return
+    if set(map(len, adj)) != {r}:
+        raise InternalError(
+            f"class {l} is not {r}-regular on its rows; the outline being "
+            f"lifted is corrupt")
+    _halve_class(list(chain.from_iterable(adj)), len(adj), l, symbols, out)
+
+
+def _halve_class(cells: list[int], n: int, l: int, symbols: Sequence[int],
+                 out: list[list[int]]) -> None:
+    """:func:`_peel_class` for an even degree r = len(symbols), with the
+    class flat: row i holds the columns ``cells[i*r:(i+1)*r]``.
+
+    The two halves from :func:`_euler_halves` take the first and second
+    halves of ``symbols``; a class of degree 2 writes both straight into
+    ``out``.
+    """
+    h = len(symbols) >> 1
+    first, second = _euler_halves(cells, n, l)
+    if h == 1:
+        a, b = symbols
+        for row, j, k in zip(out, first, second):
+            row[j] = a
+            row[k] = b
+        return
+    for half, part in ((first, symbols[:h]), (second, symbols[h:])):
+        if h & 1:
+            _peel_class([half[i:i + h] for i in range(0, len(half), h)], l,
+                        part, out)
+        else:
+            _halve_class(half, n, l, part, out)
+
+
+def _euler_halves(cells: list[int], n: int, l: int,
+                  ) -> tuple[list[int], list[int]]:
+    """Split class ``l`` on n rows, of even degree r and flat as in
+    :func:`_halve_class`, into two (r/2)-regular halves, flat the same way.
+
+    The cells of a row are paired in list order, and those of a column in
+    row order; following the pairs alternately walks the class as closed
+    trails, each starting at the lowest row with an unwalked pair.  A cell
+    walked from its row to its column goes to the first half and one
+    walked back goes to the second, so every row and column keeps half its
+    degree in each (Gabow 1976; Alon 2003).
+    """
+    r = len(cells) // n
+    at = [[] for _ in range(n)]
+    for e, j in enumerate(cells):
+        at[j].append(e)
+    if set(map(len, at)) != {r}:
+        raise InternalError(
+            f"class {l} is not {r}-regular on its columns; the outline "
+            f"being lifted is corrupt")
+    # r is even, so no pair of consecutive cells in column order straddles
+    # two columns
+    by_column = list(chain.from_iterable(at))
+    partner = [0] * len(cells)
+    for e, f in zip(by_column[::2], by_column[1::2]):
+        partner[e] = f
+        partner[f] = e
+    first = [-1] * (len(cells) >> 1)
+    second = [0] * len(first)
+    for q, column in enumerate(first):
+        if column >= 0:
+            continue
+        # cell 2q is walked row to column; its column partner is walked
+        # back, and the row partner of that cell starts the next step
+        start = e = q << 1
+        while True:
+            first[e >> 1] = cells[e]
+            second[e >> 1] = cells[e ^ 1]
+            e = partner[e] ^ 1
+            if e == start:
+                break
+    return first, second
 
 
 def _split_symbols_to_units(labels: list[list[int]],
                             sym_parts: Sequence[int]) -> list[list[int]]:
-    """Resolve each symbol class into final symbols via matchings."""
+    """Resolve each symbol class into final symbols by Euler halving, with
+    one perfect matching per odd degree (see :func:`_peel_class`)."""
     n = len(labels)
     cols = list(range(n))  # one int object per column for all the lists
     adjs = [[[] for _ in cols] for _ in range(len(sym_parts) + 1)]

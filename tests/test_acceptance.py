@@ -36,11 +36,11 @@ from util import random_latin_square, random_partition
 # of criterion 2; a change that alters any square or trace on purpose re-pins
 # these and says why
 SWEEP_DIGEST = \
-    "18c40ec4041a0b90a5bc8a54a30558fef842850024b47ad47a36ddc4c71e05fb"
+    "efcec98c8c0bade90b3592624154ec83c65cc0525e3ea585577d511441ddfa74"
 SWEEP_TRACE_DIGEST = \
-    "449c3936a67fba41bc7bf7b5b41ba7c3237c65bfa53846c735914d8204a7f16f"
+    "b2780af26489feb33a36c7a3e3d4d2fdb962d256fbe7feba6b61a92011290f8a"
 ROUND_TRIP_DIGEST = \
-    "98694461796b0c8d1de44fdd8a9fa8e6ee57122d7c149e74863907118f2ec3c5"
+    "96b3d73575bb678351b70c23fe7e16a5400a5dbd97dc30c112f40cdff45ea9ee"
 
 
 @contextmanager

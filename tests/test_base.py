@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from pils import (
@@ -8,6 +10,7 @@ from pils import (
     ls_one_big,
     ls_uniform,
     two_size_fallback,
+    validate_outline,
     verify_realization,
 )
 from pils import base
@@ -170,6 +173,35 @@ def test_one_big_family_up_to_order_30():
     finally:
         ls_one_big.cache_clear()
     assert all(m % 4 == 2 and s >= corner.get(m, m) for s, m in completed)
+
+
+# sha256 over the completed outlines' counts: a change to the completion's
+# value order or pruning re-pins it on purpose
+COMPLETION_DIGEST = \
+    "46874dbc69a55d7fbb1cf88448ca988c5785ebf516477fba0ddde8874f908ec4"
+
+
+def test_completion_outlines_are_pinned():
+    digest = hashlib.sha256()
+    for parts in ((3,) + (1,) * 6, (6,) + (1,) * 10, (10,) + (1,) * 14,
+                  (2, 2, 2) + (1,) * 8):
+        outline = base._complete_outline_square(Partition(parts))
+        digest.update(repr(outline.counts).encode())
+    assert digest.hexdigest() == COMPLETION_DIGEST
+
+
+def test_completion_of_many_classes_ends_honestly(monkeypatch):
+    # a symbol of (5, 1^38) spreads over 38 * 37 cells, more than Python's
+    # default recursion limit: the search ends in an outline or a budget
+    # report, never a RecursionError
+    monkeypatch.setattr(base, "_COMPLETION_NODES", 20_000)
+    partition = Partition([5] + [1] * 38)
+    try:
+        outline = base._complete_outline_square(partition)
+    except base._CompletionBudget as exc:
+        assert "20,000 nodes" in str(exc)
+    else:
+        assert validate_outline(outline) == []
 
 
 class TestTwoSizeFallback:

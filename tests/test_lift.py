@@ -309,15 +309,83 @@ class TestHalve:
             assert Counter(a) + Counter(b) == Counter(cell)
 
 
+@st.composite
+def regular_classes(draw):
+    """(n, r, adj) of a random r-regular simple bipartite graph on n rows
+    and n columns: r distinct cyclic shifts under random row and column
+    permutations, each row's columns ascending."""
+    n = draw(st.integers(1, 40), label="n")
+    r = draw(st.integers(1, n), label="r")
+    rng = draw(st.randoms(use_true_random=False))
+    shifts = rng.sample(range(n), r)
+    rows = rng.sample(range(n), n)
+    cols = rng.sample(range(n), n)
+    adj = [[] for _ in range(n)]
+    for i in range(n):
+        for s in shifts:
+            adj[rows[i]].append(cols[(i + s) % n])
+    return n, r, [sorted(row) for row in adj]
+
+
 class TestPeelClass:
+    # r = 3 sits before r = 2 so that the earlier ids keep their cases
     @pytest.mark.parametrize("symbols, message", [
         ((1,), "did not resolve to a transversal"),
-        ((1, 2), "no perfect matching"),
+        ((1, 2, 3), "no perfect matching"),
+        ((1, 2), "class 1 is not 2-regular on its rows"),
     ])
     def test_irregular_class_raises(self, symbols, message):
         # row 1 holds class 1 twice, row 2 not at all
         with pytest.raises(InternalError, match=message):
             _peel_class([[0, 1], []], 1, symbols, [[0, 0], [0, 0]])
+
+    def test_irregular_columns_raise(self):
+        # all three rows hold class 1 in the same columns (0 and 1, then 0
+        # alone): every row has the degree, but no column has it
+        out = [[0] * 3 for _ in range(3)]
+        with pytest.raises(InternalError,
+                           match="class 1 is not 2-regular on its columns"):
+            _peel_class([[0, 1] for _ in out], 1, (1, 2), out)
+        with pytest.raises(InternalError,
+                           match="did not resolve to a transversal"):
+            _peel_class([[0] for _ in out], 1, (1,), out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=regular_classes())
+    def test_halving_writes_transversals(self, case):
+        n, r, adj = case
+        lift_module = importlib.import_module("pils.lift")
+        matching = lift_module._perfect_matching
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return matching(*args)
+
+        outs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lift_module, "_perfect_matching", counted)
+            for _ in range(2):
+                out = [[0] * n for _ in range(n)]
+                _peel_class([list(row) for row in adj], 1,
+                            range(1, r + 1), out)
+                outs.append((out, len(calls)))
+                calls.clear()
+        (out, matchings), again = outs
+        assert again == (out, matchings)
+        for i, row in enumerate(out):
+            assert [j for j, v in enumerate(row) if v] == adj[i]
+        for v in range(1, r + 1):
+            cells = [(i, j) for i, row in enumerate(out)
+                     for j, x in enumerate(row) if x == v]
+            assert sorted(i for i, _ in cells) == list(range(n))
+            assert sorted(j for _, j in cells) == list(range(n))
+        # one matching per odd degree on the way down: none for a power
+        # of two, at most r/2 otherwise
+        if r & (r - 1) == 0:
+            assert matchings == 0
+        else:
+            assert 2 * matchings <= r
 
 
 class TestLiftToRealization:
