@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .core import (
@@ -137,7 +138,29 @@ def build_circulant_outline(partition: Partition,
 
     Output is associated to ((1^n), (1^n), (1^h1, h2, ..., hk)) and lifts to
     a realization in normal form: the leading h1 x h1 corner is a subsquare
-    on [h1] and every later block is constant on its own group symbol.
+    on [h1] and every later block is constant on its own group symbol.  It
+    is the label grid of :func:`_circulant_labels` with each label held
+    once per cell, validated as an outline rectangle.
+    """
+    labels, sym_partition, triple_sets = _circulant_labels(partition)
+    ones = Partition([1] * partition.n)
+    singles = [{v: 1} for v in range(sym_partition.k + 1)]
+    outline = OutlineRectangle(
+        ones, ones, sym_partition,
+        [[singles[v] for v in row] for row in labels])
+    bad = validate_outline(outline)
+    if bad:
+        raise InternalError(f"circulant outline invalid: {bad[0]}")
+    return outline, triple_sets
+
+
+def _circulant_labels(partition: Partition,
+                      ) -> tuple[list[list[int]], Partition, list[TripleSet]]:
+    """The n x n label grid of :func:`build_circulant_outline`, its symbol
+    partition (1^h1, h2, ..., hk) and its triple sets.
+
+    The grid is checked by :func:`_check_labels`, the outline conditions of
+    its singleton outline, so callers amalgamate straight from it.
     """
     params = circulant_params(partition)
     parts = partition.parts
@@ -220,15 +243,8 @@ def build_circulant_outline(partition: Partition,
     adj = [[j for j, v in enumerate(row) if v == 0] for row in labels]
     _peel_class(adj, 0, range(singles + 1, h1 + 1), labels)
 
-    ones = Partition([1] * n)
     sym_partition = Partition([1] * h1 + list(parts[1:]))
-    singles = [{v: 1} for v in range(sym_partition.k + 1)]
-    outline = OutlineRectangle(
-        ones, ones, sym_partition,
-        [[singles[v] for v in row] for row in labels])
-    bad = validate_outline(outline)
-    if bad:
-        raise InternalError(f"circulant outline invalid: {bad[0]}")
+    _check_labels(labels, sym_partition)
 
     triple_sets = []
     for idx in range(1, params.free_count + 1):
@@ -239,7 +255,57 @@ def build_circulant_outline(partition: Partition,
             z = label_of[mod_mul(mod_add(a, b, t), inv2, t) + h1]
             triples.append((h1 + a, h1 + b, z))
         triple_sets.append(TripleSet(idx, tuple(triples)))
-    return outline, triple_sets
+    return labels, sym_partition, triple_sets
+
+
+def _check_labels(labels: Sequence[Sequence[int]],
+                  sym_partition: Partition) -> None:
+    """Raise :class:`InternalError` unless every row and every column of
+    ``labels`` holds each label l exactly r_l times.
+
+    These are the outline conditions (:func:`validate_outline`) of the
+    outline with singleton rows and columns whose cell (i, j) holds
+    ``labels[i-1][j-1]`` once.
+    """
+    expected = [l for l, r in enumerate(sym_partition.parts, start=1)
+                for _ in range(r)]
+    for name, lines in (("row", labels), ("column", zip(*labels))):
+        for x, line in enumerate(lines, start=1):
+            if sorted(line) != expected:
+                raise InternalError(
+                    f"circulant {name} {x} does not hold each class label "
+                    f"its part's number of times")
+
+
+def _amalgamate_labels(labels: Sequence[Sequence[int]],
+                       row_map: Sequence[int], col_map: Sequence[int],
+                       sym_map: Sequence[int], shape: tuple[int, int],
+                       ) -> list[list[Counts]]:
+    """:func:`core._amalgamate` of the singleton outline whose cell (i, j)
+    holds ``labels[i-1][j-1]`` once, without building it.
+
+    The rows merged into one output row are counted together in row order
+    by one ``Counter``, keyed J * len(sym_map) + s for column class J
+    (0-based) and symbol s, so every cell lists its symbols in the order
+    :func:`core._amalgamate` would.
+    """
+    rows, cols = shape
+    width = len(sym_map)
+    col_keys = [(J - 1) * width for J in col_map[1:]]
+    groups: list[list[Sequence[int]]] = [[] for _ in range(rows)]
+    for i, row in enumerate(labels, start=1):
+        groups[row_map[i] - 1].append(row)
+    out: list[list[Counts]] = []
+    for group in groups:
+        counts: Counter = Counter()
+        for row in group:
+            counts.update(map(add, col_keys, map(sym_map.__getitem__, row)))
+        cells: list[Counts] = [{} for _ in range(cols)]
+        for key, c in counts.items():
+            J, s = divmod(key, width)
+            cells[J][s] = c
+        out.append(cells)
+    return out
 
 
 def check_circulant_properties(outline: OutlineRectangle,
@@ -324,7 +390,7 @@ def odd_r_outline(partition: Partition) -> OutlineRectangle:
             f"3*h1 = {3 * h} outside [2*h4, r+1-2*h4] = "
             f"[{2 * h4}, {r + 1 - 2 * h4}]")
 
-    circ, _ = build_circulant_outline(Partition((3 * h,) + tail))
+    labels, _, _ = _circulant_labels(Partition((3 * h,) + tail))
     n = partition.n
     k = partition.k
     # Index maps: contiguous h-groups over [3h], tail blocks unchanged.
@@ -341,7 +407,7 @@ def odd_r_outline(partition: Partition) -> OutlineRectangle:
         sym_map[v] = (v - 1) // h + 1
     for i in range(2, k - 1):
         sym_map[3 * h + i - 1] = i + 2
-    cells = _amalgamate(circ.counts, row_map, row_map, sym_map, (k, k))
+    cells = _amalgamate_labels(labels, row_map, row_map, sym_map, (k, k))
 
     hh = h * h
     corner = {(1, 1): 1, (2, 2): 2, (3, 3): 3,
@@ -400,7 +466,7 @@ def even_r_outline(partition: Partition,
         circ_tail.append(hk - 1)
     if not circ_tail:
         raise PreconditionError("tail too short for the even construction")
-    circ, triple_sets = build_circulant_outline(
+    labels, circ_syms, triple_sets = _circulant_labels(
         Partition([3 * h + 1] + circ_tail))
     if len(triple_sets) < 2:
         raise InternalError("even construction needs two free differences")
@@ -444,8 +510,8 @@ def even_r_outline(partition: Partition,
 
     row_map = [0] + [row_final(x) for x in range(1, n + 1)]
     col_map = [0] + [col_final(x) for x in range(1, n + 1)]
-    sym_map = [0] + [sym_final(v) for v in range(1, circ.sym_partition.k + 1)]
-    cells = _amalgamate(circ.counts, row_map, col_map, sym_map, (R, R))
+    sym_map = [0] + [sym_final(v) for v in range(1, circ_syms.k + 1)]
+    cells = _amalgamate_labels(labels, row_map, col_map, sym_map, (R, R))
 
     corner_idx = (1, 2, 3, R)
     for i in corner_idx:

@@ -2,22 +2,25 @@
 
 A reduction of a latin square modulo (P, Q, R) is an outline rectangle, and
 every outline rectangle arises this way.  The classical existence statement
-gives no algorithm, so this module supplies one: split every row class
-into units, then every column class (on the transpose), then every symbol
-class.  A line class of even size p is a multigraph on (cross class) x
-(symbol class) whose every degree is a multiple of p, so an Euler partition
-halves it exactly; a class whose size is not a power of two first has its
-largest power-of-two block cut off by an exact-degree subgraph extraction,
-solved as a feasible-flow problem.  Once every line is a singleton, each
-symbol class is an r-regular bipartite graph on rows x columns.  It is
-halved the same way, by an Euler partition into two (r/2)-regular classes,
-down to transversals; an odd degree first gives one symbol a perfect
-matching.  On a valid outline rectangle no extraction, halving or matching
-can fail; any failure is an internal invariant violation.
+gives no algorithm, so this module supplies one.  First every row class,
+then every column class, is cut into power-of-two blocks, largest first.
+Each cut is an exact-degree subgraph extraction, solved as a feasible-flow
+problem with one left vertex per cross class or block, so no flow solve is
+larger than the outline.  Then every column class is split into units,
+then every row class (on the transpose), then every symbol class.  A line
+class of even size p is a multigraph on (cross class) x (symbol class)
+whose every degree is a multiple of p, so an Euler partition halves it
+exactly.  Once every line is a singleton, each symbol class is an r-regular
+bipartite graph on rows x columns.  It is halved the same way, by an Euler
+partition into two (r/2)-regular classes, down to transversals; an odd
+degree first gives one symbol a perfect matching.  On a valid outline
+rectangle no extraction, halving or matching can fail; any failure is an
+internal invariant violation.
 
-Splits are performed in a fixed order (rows, then columns, then symbols,
-lowest index first) with deterministic solvers that read cells in symbol
-order, so lifting is a pure function of its input.
+Splits are performed in a fixed order (row cuts, column cuts, column
+halvings, row halvings, then symbols, lowest index first) with
+deterministic solvers that read cells in symbol order, so lifting is a
+pure function of its input.
 
 Every cell is the outline's own ``{symbol: count}`` map, which is the
 sparse multiplicity row the flow solver takes (symbol l is right vertex l;
@@ -406,109 +409,137 @@ def _halve(cells: Sequence[dict[int, int]], singles: Sequence[dict[int, int]],
     is a multiple of its size, so every degree is even.  Each half takes
     ``m // 2`` of every entry.  The entries with odd ``m`` leave one
     residual edge each, and every vertex of that residual graph still has
-    even degree.  It is walked as closed trails, each starting at the
-    lowest cell with an unwalked edge and taking the lowest symbol or cell
-    first: an edge walked from a cell to a symbol goes to the first half
-    and one walked back goes to the second, so each half gets exactly half
-    of every vertex's residual degree (Gabow 1976; Alon 2003).
+    even degree.  The residual edges of a cell are paired in symbol order,
+    and those of a symbol in cell order; following the pairs alternately
+    walks the residual graph as closed trails, each starting at the lowest
+    unwalked pair.  An edge walked from its cell to its symbol goes to the
+    first half and one walked back goes to the second, so each half gets
+    exactly half of every vertex's residual degree (Gabow 1976; Alon 2003).
+    A cell or symbol left with an odd residual degree raises
+    :class:`InternalError`.
     """
-    first: list[dict[int, int]] = []
-    second: list[dict[int, int]] = []
-    edge_cell: list[int] = []
+    first: list[dict[int, int] | None] = []
+    second: list[dict[int, int] | None] = []
+    # residual edges, flat and grouped by cell in symbol order; every cell
+    # has an even number, so edge e's cell partner is e ^ 1, and pair q is
+    # edges 2q and 2q + 1.  ``spans`` lists (cell, its first pair).
     edge_sym: list[int] = []
-    cell_edges: list[list[int]] = []
-    sym_edges: list[list[int]] = [[] for _ in singles]
-    mixed: list[int] = []
+    spans: list[tuple[int, int]] = []
     for c, cell in enumerate(cells):
-        half = {}
+        if len(cell) == 1:
+            (s, m), = cell.items()
+            if not m & 1:
+                # untouched by the walk below, so both halves share one map
+                half = singles[s] if m == 2 else {s: m >> 1}
+                first.append(half)
+                second.append(half)
+                continue
+        half = None
         odd = []
         for s, m in cell.items():
             if m > 1:
+                if half is None:
+                    half = {}
                 half[s] = m >> 1
             if m & 1:
                 odd.append(s)
         if not odd:
-            # untouched by the walk below, so both halves share one map
-            half = _shared(half, singles)
             first.append(half)
             second.append(half)
-            cell_edges.append(odd)
             continue
-        mixed.append(c)
+        if len(odd) & 1:
+            raise InternalError(
+                f"cell {c} of a line class being halved has odd residual "
+                f"degree; the outline being lifted is corrupt")
+        odd.sort()
         first.append(half)
-        second.append(dict(half))
-        odd.sort(reverse=True)
-        here = []
-        for s in odd:
-            here.append(len(edge_cell))
-            sym_edges[s].append(len(edge_cell))
-            edge_cell.append(c)
-            edge_sym.append(s)
-        cell_edges.append(here)
-    for edges in sym_edges:
-        edges.reverse()
-    used = [False] * len(edge_cell)
-    for start in mixed:
-        c = start
-        out_edges = cell_edges[c]
+        second.append(half and dict(half))
+        spans.append((c, len(edge_sym) >> 1))
+        edge_sym += odd
+    at: list[list[int]] = [[] for _ in singles]
+    for e, s in enumerate(edge_sym):
+        at[s].append(e)
+    partner = [0] * len(edge_sym)
+    for s, edges in enumerate(at):
+        if len(edges) & 1:
+            raise InternalError(
+                f"symbol {s} of a line class being halved has odd residual "
+                f"degree; the outline being lifted is corrupt")
+        for e, f in zip(edges[::2], edges[1::2]):
+            partner[e] = f
+            partner[f] = e
+    # took[q] is the edge of pair q walked cell to symbol; its symbol
+    # partner is walked back, and the cell partner of that edge is next
+    took = [-1] * (len(edge_sym) >> 1)
+    for q, e in enumerate(took):
+        if e >= 0:
+            continue
+        start = e = q << 1
         while True:
-            while out_edges and used[out_edges[-1]]:
-                out_edges.pop()
-            if not out_edges:
-                if c != start:
-                    raise InternalError(
-                        "odd degree in a line class being halved; the "
-                        "outline being lifted is corrupt")
+            took[e >> 1] = e
+            e = partner[e] ^ 1
+            if e == start:
                 break
-            e = out_edges.pop()
-            used[e] = True
+    spans.append((len(cells), len(took)))
+    for (c, lo), (_, hi) in zip(spans, spans[1:]):
+        a = first[c]
+        if a is None:
+            if hi - lo == 1:
+                e = took[lo]
+                first[c] = singles[edge_sym[e]]
+                second[c] = singles[edge_sym[e ^ 1]]
+                continue
+            a = first[c] = {}
+            b = second[c] = {}
+        else:
+            b = second[c]
+        for e in took[lo:hi]:
             s = edge_sym[e]
-            first[c][s] = first[c].get(s, 0) + 1
-            back = sym_edges[s]
-            while back and used[back[-1]]:
-                back.pop()
-            if not back:
-                raise InternalError(
-                    "odd degree in a line class being halved; the outline "
-                    "being lifted is corrupt")
-            e = back.pop()
-            used[e] = True
-            c = edge_cell[e]
-            second[c][s] = second[c].get(s, 0) + 1
-            out_edges = cell_edges[c]
-    for c in mixed:
-        first[c] = _shared(first[c], singles)
-        second[c] = _shared(second[c], singles)
+            a[s] = a.get(s, 0) + 1
+            s = edge_sym[e ^ 1]
+            b[s] = b.get(s, 0) + 1
     return first, second
 
 
 def _split_class(cells: Sequence[dict[int, int]], p: int,
-                 col_parts: Sequence[int], sym_parts: Sequence[int],
                  singles: Sequence[dict[int, int]],
                  out: list[Sequence[dict[int, int]]]) -> None:
-    """Append the ``p`` unit rows of a row class of size ``p`` to ``out``.
-
-    A power of two is halved down to units; any other size first has its
-    largest power-of-two block cut off by one flow solve, so a class costs
-    popcount(p) - 1 solves.
-    """
+    """Append the ``p`` unit rows of a row class of size ``p``, a power of
+    two, to ``out``, halving it down to units."""
     if p == 1:
         out.append(cells)
-    elif p & (p - 1):
-        a = 1 << (p.bit_length() - 1)
-        block, rest = _row_extraction(cells, a, col_parts, sym_parts, singles)
-        _split_class(block, a, col_parts, sym_parts, singles, out)
-        _split_class(rest, p - a, col_parts, sym_parts, singles, out)
-    else:
-        for half in _halve(cells, singles):
-            _split_class(half, p >> 1, col_parts, sym_parts, singles, out)
+        return
+    for half in _halve(cells, singles):
+        _split_class(half, p >> 1, singles, out)
+
+
+def _cut_rows_to_blocks(state: _LiftState) -> None:
+    """Cut every row class into power-of-two blocks, largest first.
+
+    A class of size p takes popcount(p) - 1 flow solves, each on one cell
+    per column class, so no solve is larger than the outline.
+    """
+    cells: list[Sequence[dict[int, int]]] = []
+    parts: list[int] = []
+    for row, p in zip(state.cells, state.row_parts):
+        while p & (p - 1):
+            a = 1 << (p.bit_length() - 1)
+            block, row = _row_extraction(row, a, state.col_parts,
+                                         state.sym_parts, state.singles)
+            cells.append(block)
+            parts.append(a)
+            p -= a
+        cells.append(row)
+        parts.append(p)
+    state.cells = cells
+    state.row_parts = parts
 
 
 def _split_rows_to_units(state: _LiftState) -> None:
+    """Halve every row class, each a power of two, down to unit rows."""
     cells: list[Sequence[dict[int, int]]] = []
     for row, p in zip(state.cells, state.row_parts):
-        _split_class(row, p, state.col_parts, state.sym_parts,
-                     state.singles, cells)
+        _split_class(row, p, state.singles, cells)
     state.cells = cells
     state.row_parts = [1] * len(cells)
 
@@ -685,18 +716,22 @@ def _split_symbols_to_units(labels: list[list[int]],
 def lift(outline: OutlineRectangle) -> LatinSquare:
     """A latin square whose reduction modulo (P, Q, R) is ``outline``.
 
-    Splits all rows to singletons, then all columns (by transposing), then
-    all symbols.  The result is deterministic, and the round trip is exact:
-    the output's reduction equals the input cellwise.
+    Cuts the row classes, then the column classes, into power-of-two
+    blocks; halves the columns to singletons, then the rows (by
+    transposing); then splits all symbols.  The result is deterministic,
+    and the round trip is exact: the output's reduction equals the input
+    cellwise.
     """
     bad = validate_outline(outline)
     if bad:
         raise PreconditionError(f"not an outline rectangle: {bad[0]}")
     state = _LiftState(outline)
+    _cut_rows_to_blocks(state)
+    state.transpose()
+    _cut_rows_to_blocks(state)
     _split_rows_to_units(state)
     state.transpose()
     _split_rows_to_units(state)
-    state.transpose()
     labels = [[next(iter(cell)) for cell in row] for row in state.cells]
     grid = _split_symbols_to_units(labels, state.sym_parts)
     square = LatinSquare(grid)

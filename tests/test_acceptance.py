@@ -36,11 +36,11 @@ from util import random_latin_square, random_partition
 # of criterion 2; a change that alters any square or trace on purpose re-pins
 # these and says why
 SWEEP_DIGEST = \
-    "efcec98c8c0bade90b3592624154ec83c65cc0525e3ea585577d511441ddfa74"
+    "9e5ec54c3d7b4a76f9fcfe2f583323e7ce1a811c5576d8b407605e2ef87e150c"
 SWEEP_TRACE_DIGEST = \
     "b2780af26489feb33a36c7a3e3d4d2fdb962d256fbe7feba6b61a92011290f8a"
 ROUND_TRIP_DIGEST = \
-    "96b3d73575bb678351b70c23fe7e16a5400a5dbd97dc30c112f40cdff45ea9ee"
+    "6121078f98c77c55c86a81af257c8914aec6ddc47f91a3ea75e64a2741dbc960"
 
 
 @contextmanager

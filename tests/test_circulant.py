@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from pils import (
+    InternalError,
     Partition,
     PreconditionError,
     back_circulant_cell,
@@ -12,7 +14,11 @@ from pils import (
     odd_r_outline,
     validate_outline,
 )
+from pils.core import _amalgamate
 from pils.circulant import (
+    _amalgamate_labels,
+    _check_labels,
+    _circulant_labels,
     check_circulant_properties,
     circulant_params,
     mod_add,
@@ -105,6 +111,32 @@ class TestBuildCirculant:
         assert params.d[0] == 2  # pool is {2, 3}; D1 = {5}, D2 = {1, 4}
 
 
+class TestLabels:
+    def test_two_labels_swapped_within_a_row_are_caught(self):
+        labels, syms, _ = _circulant_labels(Partition([3, 1, 1, 1, 1, 1]))
+        _check_labels(labels, syms)
+        row = labels[0]
+        j = next(j for j, v in enumerate(row) if v != row[0])
+        row[0], row[j] = row[j], row[0]
+        # the row keeps its labels; column 1 loses one and gains another
+        with pytest.raises(InternalError, match="column 1 "):
+            _check_labels(labels, syms)
+
+    def test_amalgamation_matches_the_singleton_outline(self):
+        rng = random.Random(5)
+        labels, syms, _ = _circulant_labels(Partition([5, 2, 1, 1, 1, 1, 1, 1, 1]))
+        n = len(labels)
+        row_map = [0] + [rng.randint(1, 4) for _ in range(n)]
+        col_map = [0] + [rng.randint(1, 3) for _ in range(n)]
+        sym_map = [0] + [rng.randint(1, 5) for _ in range(syms.k)]
+        singles = [[{v: 1} for v in row] for row in labels]
+        got = _amalgamate_labels(labels, row_map, col_map, sym_map, (4, 3))
+        want = _amalgamate(singles, row_map, col_map, sym_map, (4, 3))
+        # equal cells, each listing its symbols in the same order
+        assert [[list(cell.items()) for cell in row] for row in got] == \
+            [[list(cell.items()) for cell in row] for row in want]
+
+
 class TestOddROutline:
     def test_spec_instance(self):
         P = Partition([2, 2, 2, 2, 2, 1, 1, 1, 1, 1])
@@ -177,3 +209,61 @@ class TestEvenROutline:
             assert outline.cell(i, i) == (i,) * (h * h)
         assert outline.cell(2, 3) == (1,) * 9
         assert outline.cell(3, 1) == (2,) * 9
+
+
+def outline_digest(outline, extra) -> str:
+    """sha256 over an outline's partitions, its cells as sorted
+    ``(symbol, count)`` lists, and ``extra``."""
+    digest = hashlib.sha256()
+    digest.update(repr((outline.row_partition.parts,
+                        outline.col_partition.parts,
+                        outline.sym_partition.parts)).encode())
+    for row in outline.counts:
+        digest.update(repr([sorted(cell.items()) for cell in row]).encode())
+    digest.update(repr(extra).encode())
+    return digest.hexdigest()
+
+
+def circulant_digest(parts) -> str:
+    outline, triple_sets = build_circulant_outline(Partition(parts))
+    return outline_digest(outline, [(ts.index, ts.triples)
+                                    for ts in triple_sets])
+
+
+def odd_r_digest(parts) -> str:
+    return outline_digest(odd_r_outline(Partition(parts)), ())
+
+
+def even_r_digest(parts) -> str:
+    outline, beta1, beta2 = even_r_outline(Partition(parts))
+    return outline_digest(outline, (beta1, beta2))
+
+
+class TestPinnedOutputs:
+    # the seeds the engine builds for the large benchmark strata at n = 161
+    # (odd tail), 240 (even tail) and 331 (odd tail), the circulant
+    # rectangles beneath the first two, and small instances; a change that
+    # alters any of these outlines on purpose re-pins its digest
+    @pytest.mark.parametrize("build, parts, expected", [
+        (circulant_digest, (3, 1, 1, 1, 1, 1),
+         "65a39392e2f7e8e75209e490e48b0314328d76d18502ba691e29927a992b8b9a"),
+        (circulant_digest, (66, 15, 13, 13, 12, 11, 11, 11, 9),
+         "d808f1b8f6bb73cd38c10e4e3cbe11ecf8c192a4b1d7d640af5f6daf4829562e"),
+        (circulant_digest, (103, 16, 16, 15, 15, 15, 14, 14, 14, 10, 8),
+         "881fff733d74259b71a538cd4c19b6ce6c8373953b883f5487b08ca76215ebd5"),
+        (odd_r_digest, (2, 2, 2, 2, 2, 1, 1, 1, 1, 1),
+         "ec734ba94b5af36fd01335371d90c1ff8cac6a2859cb9b71cc6ca121ce76ed1d"),
+        (odd_r_digest, (22, 22, 22, 15, 13, 13, 12, 11, 11, 11, 9),
+         "04d98b963c548a64e88cf6dac5378ebe64e019771eb7bdb7df756d400145abfb"),
+        (odd_r_digest, (34, 34, 34, 29, 24, 22, 22, 20, 18, 18, 18, 16, 16,
+                        16, 10),
+         "e979bdcd9fca6a8a956602d2b12cc311718c46682dad1f2af43df21038b2c528"),
+        (even_r_digest, (3, 3, 3, 2, 2, 2, 2, 2, 2, 2),
+         "63ac2854b1ed7476a07a1acaaa22022c9ada98215a0abe61300187f98e3fde70"),
+        (even_r_digest, (2, 2, 2, 2) + (1,) * 10,
+         "4676b1e7fde0b6578e554c5f479c0b6b22d3d84a6acadbafff3065c4c675f37c"),
+        (even_r_digest, (34, 34, 34, 16, 16, 15, 15, 15, 14, 14, 14, 10, 9),
+         "30ad30d096593378262191795f77fa39b155ce0f1ad1f1f494d727c58f24c370"),
+    ])
+    def test_outline_digest(self, build, parts, expected):
+        assert build(parts) == expected

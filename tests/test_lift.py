@@ -263,6 +263,30 @@ class TestLift:
         # solve; 31 = 16 + 8 + 4 + 2 + 1 cuts off four blocks
         assert len(calls) <= 4
 
+    def test_flow_solves_stay_outline_sized(self, monkeypatch):
+        lift_module = importlib.import_module("pils.lift")
+        solve = lift_module._solve_extraction
+        lefts = []
+
+        def recording(mult_rows, *args):
+            lefts.append(len(mult_rows))
+            return solve(mult_rows, *args)
+
+        monkeypatch.setattr(lift_module, "_solve_extraction", recording)
+        # no part is a power of two: 37 = 32 + 4 + 1, 35 = 32 + 2 + 1,
+        # 24 = 16 + 8; 45 = 32 + 8 + 4 + 1, 28 = 16 + 8 + 4, 23 = 16 + 4 + 2
+        # + 1
+        P, Q, R = (Partition([37, 35, 24]), Partition([45, 28, 23]),
+                   Partition([41, 30, 25]))
+        outline = reduce(random_latin_square(96, random.Random(96)), P, Q, R)
+        lift(outline)
+        popcounts = [bin(p).count("1") for p in P.parts + Q.parts]
+        # one cut per block but the last of each class; each row cut has a
+        # left vertex per column class, each column cut one per row block
+        assert len(lefts) == sum(popcounts) - P.k - Q.k
+        assert max(lefts) <= sum(popcounts)
+        assert set(lefts) == {Q.k, sum(popcounts[:P.k])}
+
     def test_lift_ignores_count_map_order(self):
         outline = reduce(random_latin_square(31, random.Random(32)),
                          Partition([31]), Partition([16, 8, 4, 2, 1]),
@@ -307,6 +331,17 @@ class TestHalve:
                 [p // 2 * r for r in syms]
         for cell, a, b in zip(cells, *halves):
             assert Counter(a) + Counter(b) == Counter(cell)
+
+    def test_cell_with_odd_residual_degree_raises(self):
+        singles = [{s: 1} for s in range(4)]
+        with pytest.raises(InternalError, match="cell 1 .*odd residual"):
+            _halve([{1: 2}, {1: 1, 2: 1, 3: 3}], singles)
+
+    def test_symbol_with_odd_residual_degree_raises(self):
+        # each cell has two odd entries; symbols 2 and 3 have one each
+        singles = [{s: 1} for s in range(4)]
+        with pytest.raises(InternalError, match="symbol 2 .*odd residual"):
+            _halve([{1: 1, 2: 1}, {1: 1, 3: 1}], singles)
 
 
 @st.composite
