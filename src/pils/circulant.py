@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from operator import add
 from typing import Sequence
 
 from .core import (
@@ -24,6 +23,7 @@ from .core import (
     Partition,
     PreconditionError,
     _amalgamate,
+    _amalgamate_labels,
     is_latin,
     validate_outline,
 )
@@ -178,8 +178,8 @@ def _circulant_labels(partition: Partition,
     for i in range(1, t + 1):
         gi = grid[h1 + i - 1]
         for j in range(1, t + 1):
-            b = mod_mul(mod_add(i, j, t), inv2, t) + h1
-            idx = dmap.get(mod_sub(j, i, t))
+            b = ((i + j) * inv2 - 1) % t + 1 + h1
+            idx = dmap.get((j - i - 1) % t + 1)
             if idx is None:
                 gi[h1 + j - 1] = b
             else:
@@ -251,8 +251,8 @@ def _circulant_labels(partition: Partition,
         dv = params.d[idx - 1]
         triples = []
         for a in range(1, t + 1):
-            b = mod_add(a, dv, t)
-            z = label_of[mod_mul(mod_add(a, b, t), inv2, t) + h1]
+            b = (a + dv - 1) % t + 1
+            z = label_of[((a + b) * inv2 - 1) % t + 1 + h1]
             triples.append((h1 + a, h1 + b, z))
         triple_sets.append(TripleSet(idx, tuple(triples)))
     return labels, sym_partition, triple_sets
@@ -275,37 +275,6 @@ def _check_labels(labels: Sequence[Sequence[int]],
                 raise InternalError(
                     f"circulant {name} {x} does not hold each class label "
                     f"its part's number of times")
-
-
-def _amalgamate_labels(labels: Sequence[Sequence[int]],
-                       row_map: Sequence[int], col_map: Sequence[int],
-                       sym_map: Sequence[int], shape: tuple[int, int],
-                       ) -> list[list[Counts]]:
-    """:func:`core._amalgamate` of the singleton outline whose cell (i, j)
-    holds ``labels[i-1][j-1]`` once, without building it.
-
-    The rows merged into one output row are counted together in row order
-    by one ``Counter``, keyed J * len(sym_map) + s for column class J
-    (0-based) and symbol s, so every cell lists its symbols in the order
-    :func:`core._amalgamate` would.
-    """
-    rows, cols = shape
-    width = len(sym_map)
-    col_keys = [(J - 1) * width for J in col_map[1:]]
-    groups: list[list[Sequence[int]]] = [[] for _ in range(rows)]
-    for i, row in enumerate(labels, start=1):
-        groups[row_map[i] - 1].append(row)
-    out: list[list[Counts]] = []
-    for group in groups:
-        counts: Counter = Counter()
-        for row in group:
-            counts.update(map(add, col_keys, map(sym_map.__getitem__, row)))
-        cells: list[Counts] = [{} for _ in range(cols)]
-        for key, c in counts.items():
-            J, s = divmod(key, width)
-            cells[J][s] = c
-        out.append(cells)
-    return out
 
 
 def check_circulant_properties(outline: OutlineRectangle,

@@ -30,6 +30,7 @@ from .core import (
     Partition,
     PreconditionError,
     _amalgamate,
+    _amalgamate_labels,
     _count_cells,
     _expand,
     validate_outline,
@@ -243,18 +244,14 @@ def _one_share_array(m: int, k: int, share: Sequence[int]) -> OutlineArray:
     s = len(share)
     square, _ = ls_one_big(s, m)
     # The realization has the order-s block first: rows/cols/symbols [s],
-    # then m singletons.  Class map: square index -> array class.
-    klass = sorted(share) + [i for i in range(1, m + 1)]
-
-    cells: list[list[Counts]] = [[{} for _ in range(k)] for _ in range(k)]
-    for ci, line in zip(klass, square.grid):
-        out = cells[ci - 1]
-        for cj, v in zip(klass, line):
-            if ci == cj or (ci > m and cj > m):
-                continue
-            cell = out[cj - 1]
-            sym = klass[v - 1]
-            cell[sym] = cell.get(sym, 0) + 1
+    # then m singletons.  Class map: square index -> array class (index 0
+    # unused).
+    klass = [0] + sorted(share) + list(range(1, m + 1))
+    cells = _amalgamate_labels(square.grid, klass, klass, klass, (k, k))
+    for i, row in enumerate(cells):
+        row[i] = {}
+        if i >= m:  # the block-on-block corner
+            row[m:] = [{} for _ in range(m, k)]
     array = OutlineArray(cells)
     bad = validate_outline_array(array)
     if bad:

@@ -126,8 +126,9 @@ class Partition:
 
 
 def _group_map(parts: Sequence[int]) -> list[int]:
-    """0-based lookup: value x-1 -> 1-based group index under the partition."""
-    out = []
+    """1-based lookup: value x -> 1-based group index under the partition;
+    index 0 is unused."""
+    out = [0]
     for g, p in enumerate(parts, start=1):
         out.extend([g] * p)
     return out
@@ -355,6 +356,28 @@ def _amalgamate(counts: Sequence[Sequence[Counts]], row_map: Sequence[int],
     return out
 
 
+def _amalgamate_labels(labels: Sequence[Sequence[int]],
+                       row_map: Sequence[int], col_map: Sequence[int],
+                       sym_map: Sequence[int], shape: tuple[int, int],
+                       ) -> list[list[Counts]]:
+    """:func:`_amalgamate` of the singleton outline whose cell (i, j) holds
+    ``labels[i-1][j-1]`` once, without building it.
+
+    Cells are counted one by one in row-major order, so every cell lists
+    its symbols in the order :func:`_amalgamate` would.
+    """
+    out: list[list[Counts]] = [[{} for _ in range(shape[1])]
+                               for _ in range(shape[0])]
+    cols = col_map[1:]
+    for i, row in enumerate(labels, start=1):
+        target = out[row_map[i] - 1]
+        for J, v in zip(cols, row):
+            cell = target[J - 1]
+            s = sym_map[v]
+            cell[s] = cell.get(s, 0) + 1
+    return out
+
+
 @dataclass(frozen=True)
 class OutlineRectangle:
     """A u x v array of symbol multisets tagged with partitions (P, Q, R).
@@ -474,17 +497,10 @@ def reduce(square: LatinSquare, row_partition: Partition,
         if part.n != n:
             raise PartitionError(
                 f"{name} partition sums to {part.n}, square has order {n}")
-    sym_group = _group_map(sym_partition.parts)
-    row_group = _group_map(row_partition.parts)
-    col_group = _group_map(col_partition.parts)
-    cells: list[list[Counts]] = [[{} for _ in range(col_partition.k)]
-                                 for _ in range(row_partition.k)]
-    for r, line in enumerate(square.grid):
-        out = cells[row_group[r] - 1]
-        for c, v in enumerate(line):
-            cell = out[col_group[c] - 1]
-            s = sym_group[v - 1]
-            cell[s] = cell.get(s, 0) + 1
+    cells = _amalgamate_labels(
+        square.grid, _group_map(row_partition.parts),
+        _group_map(col_partition.parts), _group_map(sym_partition.parts),
+        (row_partition.k, col_partition.k))
     outline = OutlineRectangle(row_partition, col_partition, sym_partition,
                                cells)
     bad = validate_outline(outline)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .base import _two_size_outline, _uniform_outline, ls_uniform
 from .circulant import even_r_outline, odd_r_outline
-from .compose import _addon_bound_holds, add_on_step, blow_up
+from .compose import add_on_step, blow_up
 from .core import (
     InternalError,
     LatinSquare,
@@ -214,12 +214,14 @@ def construct_main(partition: Partition,
                               ConstructionTrace]:
     """Realize any (h_m^m h_{m+1} .. h_k) with m >= 3 equal largest parts.
 
-    Downward induction on outline squares from the uniform base (h_k^k): at
-    each step either rebuild outright through the circulant pipeline (when
-    its hypothesis holds) or add (h_l - h_{l+1}) add-on arrays to the
-    previous outline square.  Steps whose source and target partitions
-    coincide are skipped, as are steps that a later rebuild discards.  Only
-    the final outline square becomes a latin square: lift once at the end.
+    Downward induction on outline squares over the levels l = k - 1, ...,
+    m.  It begins at the last level whose rebuild hypothesis holds, rebuilt
+    outright through the circulant pipeline (the steps before it would be
+    discarded), or at the uniform base (h_k^k) when no level's holds; each
+    later level adds (h_l - h_{l+1}) add-on arrays to the previous outline
+    square.  Steps whose source and target partitions coincide are
+    skipped.  Only the final outline square becomes a latin square: lift
+    once at the end.
     """
     parts = partition.parts
     if not partition.is_non_increasing():
@@ -241,42 +243,27 @@ def construct_main(partition: Partition,
     def level_partition(level: int) -> Partition:
         return Partition((parts[level - 1],) * level + parts[level:])
 
-    rebuilds = [level for level in range(k - 1, m - 1, -1)
-                if parts[level - 1] > parts[level]
-                and _rebuild_hypothesis(parts, level)]
-    start = min(rebuilds) if rebuilds else None
-
-    outline = None
-    current_level = k
-    if start is not None:
-        # everything above the last rebuild is discarded by it, so try to
-        # begin there outright
-        try:
-            outline, inner = _m_equal_outline(level_partition(start), start)
-            trace.add("rebuild", level=start, inner=inner.steps)
-            current_level = start
-        except PreconditionError as exc:
-            # a gap instance of the even construction; walk the full chain
-            trace.add("rebuild-failed", level=start,
-                      error=type(exc).__name__, reason=str(exc))
-    if outline is None:
+    # the last level of the chain whose rebuild hypothesis holds, else k
+    start = next((level for level in range(m, k)
+                  if parts[level - 1] > parts[level]
+                  and _rebuild_hypothesis(parts, level)), k)
+    if start == k:
         outline = _uniform_outline(parts[k - 1], k)
         trace.add("uniform-base", a=parts[k - 1], k=k)
+    else:
+        # everything above the last rebuild is discarded by it, so begin
+        # there outright
+        outline, inner = _m_equal_outline(level_partition(start), start)
+        trace.add("rebuild", level=start, inner=inner.steps)
 
-    for level in range(current_level - 1, m - 1, -1):
+    # every later level with distinct parts fails the rebuild hypothesis,
+    # which implies the add-on bound, so its add-on step applies
+    for level in range(start - 1, m - 1, -1):
         if parts[level - 1] == parts[level]:
             # same multiset of parts: the previous outline already works
             trace.add("skip-equal", level=level)
             continue
-        target = level_partition(level)
-        if (_rebuild_hypothesis(parts, level) and
-                not _addon_bound_holds(level, parts[level - 1],
-                                       parts[level:])):
-            # the proof's branch for this level; no add-on fallback exists
-            outline, inner = _m_equal_outline(target, level)
-            trace.add("rebuild", level=level, inner=inner.steps)
-            continue
-        outline = add_on_step(outline, target, level)
+        outline = add_on_step(outline, level_partition(level), level)
         trace.add("add-on", level=level,
                   copies=parts[level - 1] - parts[level])
     square, certificate = lift_to_realization(outline, partition)

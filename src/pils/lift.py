@@ -11,11 +11,15 @@ then every row class (on the transpose), then every symbol class.  A line
 class of even size p is a multigraph on (cross class) x (symbol class)
 whose every degree is a multiple of p, so an Euler partition halves it
 exactly.  Once every line is a singleton, each symbol class is an r-regular
-bipartite graph on rows x columns.  It is halved the same way, by an Euler
-partition into two (r/2)-regular classes, down to transversals; an odd
-degree first gives one symbol a perfect matching.  On a valid outline
-rectangle no extraction, halving or matching can fail; any failure is an
-internal invariant violation.
+bipartite graph on rows x columns.  It is halved the same way, into two
+(r/2)-regular classes, down to transversals; an odd degree first gives one
+symbol a perfect matching.  Both halvings run one pairing walk,
+:func:`_pair_walk`.  On a valid outline rectangle no extraction, halving
+or matching can fail; any failure is an internal invariant violation.
+
+The public single splits share one extraction: :func:`split_row` cuts a
+row class, :func:`split_column` is the row split of the transpose and
+:func:`split_symbol` that of the conjugate (rows and symbols swapped).
 
 Splits are performed in a fixed order (row cuts, column cuts, column
 halvings, row halvings, then symbols, lowest index first) with
@@ -341,37 +345,29 @@ def split_column(outline: OutlineRectangle, j: int, a: int) -> OutlineRectangle:
 def split_symbol(outline: OutlineRectangle, l: int, a: int) -> OutlineRectangle:
     """Refine symbol class l into classes (a, r_l - a).
 
-    Requires every row and column class to be a singleton, so the cells
-    holding l form an r_l-regular bipartite graph on rows x columns; an
-    a-regular subgraph is extracted and relabelled as the new symbol l, with
-    the remainder shifted to l + 1.
+    Symbol class l is row class l of the conjugate outline, so this is
+    :func:`split_row` there; a bad ``l`` or ``a`` is reported as that row
+    split's precondition.
     """
-    R = outline.sym_partition
-    if any(p != 1 for p in outline.row_partition.parts) or \
-            any(q != 1 for q in outline.col_partition.parts):
-        raise PreconditionError("symbol splits need singleton rows and columns")
-    if not 1 <= l <= R.k:
-        raise PreconditionError(f"symbol index {l} outside [{R.k}]")
-    r = R.part(l)
-    if r < 2:
-        raise PreconditionError(f"symbol {l} has part 1, nothing to split")
-    if not 1 <= a < r:
-        raise PreconditionError(f"need 1 <= a < {r}, got {a}")
-    n = outline.row_partition.k
-    labels = [[next(iter(cell)) for cell in row] for row in outline.counts]
-    mult = [{j: 1 for j, s in enumerate(row) if s == l} for row in labels]
-    taken = _solve_extraction(mult, [a] * n, [a] * n)
-    new_cells = []
-    for row, got in zip(labels, taken):
-        row_out = []
-        for j, s in enumerate(row):
-            if s > l or (s == l and j not in got):
-                s += 1
-            row_out.append({s: 1})
-        new_cells.append(row_out)
-    new_parts = R.parts[: l - 1] + (a, r - a) + R.parts[l:]
-    return OutlineRectangle(outline.row_partition, outline.col_partition,
-                            Partition(new_parts), new_cells)
+    return _conjugate(split_row(_conjugate(outline), l, a))
+
+
+def _conjugate(outline: OutlineRectangle) -> OutlineRectangle:
+    """The outline with rows and symbols swapped: partitions (R, Q, P), and
+    cell (l, j) holds i as often as cell (i, j) of ``outline`` holds l.
+
+    The outline conditions of either are those of the other, read with
+    rows and symbols swapped.
+    """
+    cells: list[list[dict[int, int]]] = [
+        [{} for _ in outline.col_partition.parts]
+        for _ in outline.sym_partition.parts]
+    for i, row in enumerate(outline.counts, start=1):
+        for j, cell in enumerate(row):
+            for l, c in cell.items():
+                cells[l - 1][j][i] = c
+    return OutlineRectangle(outline.sym_partition, outline.col_partition,
+                            outline.row_partition, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +397,43 @@ class _LiftState:
         self.cells = [list(col) for col in zip(*self.cells)]
 
 
+def _pair_walk(at: Sequence[Sequence[int]]) -> list[int]:
+    """Split a bipartite multigraph of even degrees into two halves, each
+    with half of every vertex's degree (Gabow 1976; Alon 2003).
+
+    Every vertex must have even degree; the callers check it.  Edges are
+    numbered so that pair q, edges 2q and 2q + 1, leaves one left vertex.
+    ``at[v]`` lists the edges at right vertex v in increasing order, and
+    consecutive edges there are paired too.  Following the pairs
+    alternately walks the graph as closed trails, each starting at the
+    lowest unwalked pair by walking edge 2q from left to right.  Returns
+    ``back``: for every pair q, its edge walked back, from right to left;
+    the other, ``back[q] ^ 1``, is walked from left to right.  (The edges
+    walked back are the stored partners, so the list adds no int objects.)
+    """
+    # every right degree is even, so no pair of consecutive edges in
+    # right-vertex order straddles two vertices
+    by_right = list(chain.from_iterable(at))
+    partner = [0] * len(by_right)
+    for e, f in zip(by_right[::2], by_right[1::2]):
+        partner[e] = f
+        partner[f] = e
+    back = [-1] * (len(by_right) >> 1)
+    for q, f in enumerate(back):
+        if f >= 0:
+            continue
+        # edge e is walked left to right; its right partner f is walked
+        # back, and the left partner of f is walked next
+        start = e = q << 1
+        while True:
+            f = partner[e]
+            back[f >> 1] = f
+            e = f ^ 1
+            if e == start:
+                break
+    return back
+
+
 def _halve(cells: Sequence[dict[int, int]], singles: Sequence[dict[int, int]],
            ) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
     """Split a line class of even size into two classes of half its size.
@@ -409,14 +442,10 @@ def _halve(cells: Sequence[dict[int, int]], singles: Sequence[dict[int, int]],
     is a multiple of its size, so every degree is even.  Each half takes
     ``m // 2`` of every entry.  The entries with odd ``m`` leave one
     residual edge each, and every vertex of that residual graph still has
-    even degree.  The residual edges of a cell are paired in symbol order,
-    and those of a symbol in cell order; following the pairs alternately
-    walks the residual graph as closed trails, each starting at the lowest
-    unwalked pair.  An edge walked from its cell to its symbol goes to the
-    first half and one walked back goes to the second, so each half gets
-    exactly half of every vertex's residual degree (Gabow 1976; Alon 2003).
-    A cell or symbol left with an odd residual degree raises
-    :class:`InternalError`.
+    even degree; :func:`_pair_walk` splits it, with a cell's residual edges
+    in symbol order, into the edges walked from cell to symbol (first
+    half) and back (second half).  A cell or symbol left with an odd
+    residual degree raises :class:`InternalError`.
     """
     first: list[dict[int, int] | None] = []
     second: list[dict[int, int] | None] = []
@@ -459,44 +488,29 @@ def _halve(cells: Sequence[dict[int, int]], singles: Sequence[dict[int, int]],
     at: list[list[int]] = [[] for _ in singles]
     for e, s in enumerate(edge_sym):
         at[s].append(e)
-    partner = [0] * len(edge_sym)
     for s, edges in enumerate(at):
         if len(edges) & 1:
             raise InternalError(
                 f"symbol {s} of a line class being halved has odd residual "
                 f"degree; the outline being lifted is corrupt")
-        for e, f in zip(edges[::2], edges[1::2]):
-            partner[e] = f
-            partner[f] = e
-    # took[q] is the edge of pair q walked cell to symbol; its symbol
-    # partner is walked back, and the cell partner of that edge is next
-    took = [-1] * (len(edge_sym) >> 1)
-    for q, e in enumerate(took):
-        if e >= 0:
-            continue
-        start = e = q << 1
-        while True:
-            took[e >> 1] = e
-            e = partner[e] ^ 1
-            if e == start:
-                break
-    spans.append((len(cells), len(took)))
+    back = _pair_walk(at)
+    spans.append((len(cells), len(back)))
     for (c, lo), (_, hi) in zip(spans, spans[1:]):
         a = first[c]
         if a is None:
             if hi - lo == 1:
-                e = took[lo]
-                first[c] = singles[edge_sym[e]]
-                second[c] = singles[edge_sym[e ^ 1]]
+                e = back[lo]
+                first[c] = singles[edge_sym[e ^ 1]]
+                second[c] = singles[edge_sym[e]]
                 continue
             a = first[c] = {}
             b = second[c] = {}
         else:
             b = second[c]
-        for e in took[lo:hi]:
-            s = edge_sym[e]
-            a[s] = a.get(s, 0) + 1
+        for e in back[lo:hi]:
             s = edge_sym[e ^ 1]
+            a[s] = a.get(s, 0) + 1
+            s = edge_sym[e]
             b[s] = b.get(s, 0) + 1
     return first, second
 
@@ -631,68 +645,36 @@ def _halve_class(cells: list[int], n: int, l: int, symbols: Sequence[int],
     """:func:`_peel_class` for an even degree r = len(symbols), with the
     class flat: row i holds the columns ``cells[i*r:(i+1)*r]``.
 
-    The two halves from :func:`_euler_halves` take the first and second
-    halves of ``symbols``; a class of degree 2 writes both straight into
-    ``out``.
+    :func:`_pair_walk` splits the class into two (r/2)-regular halves, the
+    cells walked from row to column and those walked back, which take the
+    first and second halves of ``symbols``; a class of degree 2 writes both
+    straight into ``out``.
     """
-    h = len(symbols) >> 1
-    first, second = _euler_halves(cells, n, l)
-    if h == 1:
-        a, b = symbols
-        for row, j, k in zip(out, first, second):
-            row[j] = a
-            row[k] = b
-        return
-    for half, part in ((first, symbols[:h]), (second, symbols[h:])):
-        if h & 1:
-            _peel_class([half[i:i + h] for i in range(0, len(half), h)], l,
-                        part, out)
-        else:
-            _halve_class(half, n, l, part, out)
-
-
-def _euler_halves(cells: list[int], n: int, l: int,
-                  ) -> tuple[list[int], list[int]]:
-    """Split class ``l`` on n rows, of even degree r and flat as in
-    :func:`_halve_class`, into two (r/2)-regular halves, flat the same way.
-
-    The cells of a row are paired in list order, and those of a column in
-    row order; following the pairs alternately walks the class as closed
-    trails, each starting at the lowest row with an unwalked pair.  A cell
-    walked from its row to its column goes to the first half and one
-    walked back goes to the second, so every row and column keeps half its
-    degree in each (Gabow 1976; Alon 2003).
-    """
-    r = len(cells) // n
-    at = [[] for _ in range(n)]
+    r = len(symbols)
+    at: list[list[int]] = [[] for _ in range(n)]
     for e, j in enumerate(cells):
         at[j].append(e)
     if set(map(len, at)) != {r}:
         raise InternalError(
             f"class {l} is not {r}-regular on its columns; the outline "
             f"being lifted is corrupt")
-    # r is even, so no pair of consecutive cells in column order straddles
-    # two columns
-    by_column = list(chain.from_iterable(at))
-    partner = [0] * len(cells)
-    for e, f in zip(by_column[::2], by_column[1::2]):
-        partner[e] = f
-        partner[f] = e
-    first = [-1] * (len(cells) >> 1)
-    second = [0] * len(first)
-    for q, column in enumerate(first):
-        if column >= 0:
-            continue
-        # cell 2q is walked row to column; its column partner is walked
-        # back, and the row partner of that cell starts the next step
-        start = e = q << 1
-        while True:
-            first[e >> 1] = cells[e]
-            second[e >> 1] = cells[e ^ 1]
-            e = partner[e] ^ 1
-            if e == start:
-                break
-    return first, second
+    back = _pair_walk(at)
+    h = r >> 1
+    if h == 1:
+        a, b = symbols
+        for row, e in zip(out, back):
+            row[cells[e ^ 1]] = a
+            row[cells[e]] = b
+        return
+    first = [cells[e ^ 1] for e in back]
+    second = [cells[e] for e in back]
+    del at, back  # free the walk's lists before the halves recurse
+    for half, part in ((first, symbols[:h]), (second, symbols[h:])):
+        if h & 1:
+            _peel_class([half[i:i + h] for i in range(0, len(half), h)], l,
+                        part, out)
+        else:
+            _halve_class(half, n, l, part, out)
 
 
 def _split_symbols_to_units(labels: list[list[int]],

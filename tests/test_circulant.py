@@ -14,9 +14,7 @@ from pils import (
     odd_r_outline,
     validate_outline,
 )
-from pils.core import _amalgamate
 from pils.circulant import (
-    _amalgamate_labels,
     _check_labels,
     _circulant_labels,
     check_circulant_properties,
@@ -121,20 +119,6 @@ class TestLabels:
         # the row keeps its labels; column 1 loses one and gains another
         with pytest.raises(InternalError, match="column 1 "):
             _check_labels(labels, syms)
-
-    def test_amalgamation_matches_the_singleton_outline(self):
-        rng = random.Random(5)
-        labels, syms, _ = _circulant_labels(Partition([5, 2, 1, 1, 1, 1, 1, 1, 1]))
-        n = len(labels)
-        row_map = [0] + [rng.randint(1, 4) for _ in range(n)]
-        col_map = [0] + [rng.randint(1, 3) for _ in range(n)]
-        sym_map = [0] + [rng.randint(1, 5) for _ in range(syms.k)]
-        singles = [[{v: 1} for v in row] for row in labels]
-        got = _amalgamate_labels(labels, row_map, col_map, sym_map, (4, 3))
-        want = _amalgamate(singles, row_map, col_map, sym_map, (4, 3))
-        # equal cells, each listing its symbols in the same order
-        assert [[list(cell.items()) for cell in row] for row in got] == \
-            [[list(cell.items()) for cell in row] for row in want]
 
 
 class TestOddROutline:

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pils import (
     GridError,
@@ -14,6 +17,8 @@ from pils import (
     validate_outline,
     verify_realization,
 )
+from pils.circulant import _circulant_labels
+from pils.core import _amalgamate, _amalgamate_labels
 from reference import (
     REDUCTION_COLS,
     REDUCTION_ROWS,
@@ -22,6 +27,12 @@ from reference import (
     REFERENCE_PARTITION,
     REFERENCE_SQUARE,
 )
+from util import random_latin_square, random_partition
+
+
+def in_order(cells):
+    """Every cell's (symbol, count) pairs in dict order."""
+    return [[list(cell.items()) for cell in row] for row in cells]
 
 
 class TestPartition:
@@ -125,10 +136,6 @@ class TestReduce:
             reduce(sq, Partition([8]), Partition([9]), Partition([9]))
 
     def test_reduction_always_validates(self):
-        import random
-
-        from util import random_latin_square, random_partition
-
         rng = random.Random(20260808)
         for _ in range(25):
             n = rng.randint(1, 12)
@@ -137,6 +144,48 @@ class TestReduce:
                              random_partition(n, rng),
                              random_partition(n, rng))
             assert validate_outline(outline) == []
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), rng=st.randoms(use_true_random=False))
+    def test_reduction_amalgamates_the_singleton_outline(self, n, rng):
+        sq = random_latin_square(n, rng)
+        P, Q, R = (random_partition(n, rng) for _ in range(3))
+        singles = [[{v: 1} for v in row] for row in sq.grid]
+        want = _amalgamate(singles,
+                           *([0] + [part.block_of(x) for x in range(1, n + 1)]
+                             for part in (P, Q, R)),
+                           (P.k, Q.k))
+        assert in_order(reduce(sq, P, Q, R).counts) == in_order(want)
+
+
+class TestAmalgamateLabels:
+    def test_amalgamation_matches_the_singleton_outline(self):
+        rng = random.Random(5)
+        labels, syms, _ = _circulant_labels(Partition([5, 2, 1, 1, 1, 1, 1, 1, 1]))
+        n = len(labels)
+        row_map = [0] + [rng.randint(1, 4) for _ in range(n)]
+        col_map = [0] + [rng.randint(1, 3) for _ in range(n)]
+        sym_map = [0] + [rng.randint(1, 5) for _ in range(syms.k)]
+        singles = [[{v: 1} for v in row] for row in labels]
+        got = _amalgamate_labels(labels, row_map, col_map, sym_map, (4, 3))
+        want = _amalgamate(singles, row_map, col_map, sym_map, (4, 3))
+        # equal cells, each listing its symbols in the same order
+        assert in_order(got) == in_order(want)
+
+    def test_symbols_may_map_above_the_map_length(self):
+        # the add-on shares map a square's symbols onto class ids up to k,
+        # beyond the square's own order
+        rng = random.Random(6)
+        n = 6
+        labels = [[rng.randint(1, n) for _ in range(n)] for _ in range(n)]
+        index = [0] + [rng.randint(1, 3 * n) for _ in range(n)]
+        assert max(index) > len(index) - 1
+        singles = [[{v: 1} for v in row] for row in labels]
+        shape = (3 * n, 3 * n)
+        got = _amalgamate_labels(labels, index, index, index, shape)
+        want = _amalgamate(singles, index, index, index, shape)
+        assert in_order(got) == in_order(want)
 
 
 class TestValidateOutline:

@@ -148,28 +148,6 @@ class TestConstructMain:
         verify_realization(sq, P)
         assert len(calls) == 1
 
-    def test_failed_rebuild_is_traced(self, monkeypatch):
-        engine = importlib.import_module("pils.engine")
-        original = engine._m_equal_outline
-        failures = []
-
-        def fail_once(partition, m):
-            if not failures:
-                failures.append(m)
-                raise PreconditionError("injected")
-            return original(partition, m)
-
-        monkeypatch.setattr(engine, "_m_equal_outline", fail_once)
-        P = Partition((4, 4, 4, 2) + (1,) * 10)
-        sq, _, trace = construct_main(P)
-        verify_realization(sq, P)
-        assert failures == [4]
-        assert trace.steps[:2] == [
-            {"op": "rebuild-failed", "level": 4, "error": "PreconditionError",
-             "reason": "injected"},
-            {"op": "uniform-base", "a": 1, "k": 14},
-        ]
-
     def test_defect_in_rebuild_is_not_swallowed(self, monkeypatch):
         engine = importlib.import_module("pils.engine")
 

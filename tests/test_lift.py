@@ -25,7 +25,7 @@ from pils import (
     validate_outline,
     verify_realization,
 )
-from pils.lift import _halve, _peel_class
+from pils.lift import _conjugate, _halve, _peel_class
 from reference import (
     REDUCTION_COLS,
     REDUCTION_ROWS,
@@ -184,9 +184,17 @@ class TestSplits:
         grid = [[out.cell(i, j)[0] for j in (1, 2)] for i in (1, 2)]
         assert is_latin(grid)
 
-    def test_split_symbol_needs_singleton_lines(self):
-        with pytest.raises(PreconditionError):
-            split_symbol(reference_outline(), 1, 1)
+    def test_split_symbol_on_reference_outline(self):
+        out = split_symbol(reference_outline(), 1, 1)
+        assert out.sym_partition.parts == (1, 2, 1, 1, 1, 1, 1, 1)
+        assert validate_outline(out) == []
+
+    def test_conjugate_is_an_involution(self):
+        outline = reference_outline()
+        conjugate = _conjugate(outline)
+        assert conjugate.row_partition == outline.sym_partition
+        assert validate_outline(conjugate) == []
+        assert _conjugate(conjugate) == outline
 
     def test_split_symbol_part_one_rejected(self):
         ones = Partition([1, 1])
