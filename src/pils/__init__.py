@@ -32,6 +32,7 @@ from .lift import (
     ExtractionInfeasible,
     extract_exact_degree_subgraph,
     lift,
+    lift_labels_to_realization,
     lift_to_realization,
     split_column,
     split_row,

@@ -24,6 +24,8 @@ from .core import (
     PreconditionError,
     _amalgamate,
     _amalgamate_labels,
+    _check_labels,
+    _group_map,
     is_latin,
     validate_outline,
 )
@@ -258,25 +260,6 @@ def _circulant_labels(partition: Partition,
     return labels, sym_partition, triple_sets
 
 
-def _check_labels(labels: Sequence[Sequence[int]],
-                  sym_partition: Partition) -> None:
-    """Raise :class:`InternalError` unless every row and every column of
-    ``labels`` holds each label l exactly r_l times.
-
-    These are the outline conditions (:func:`validate_outline`) of the
-    outline with singleton rows and columns whose cell (i, j) holds
-    ``labels[i-1][j-1]`` once.
-    """
-    expected = [l for l, r in enumerate(sym_partition.parts, start=1)
-                for _ in range(r)]
-    for name, lines in (("row", labels), ("column", zip(*labels))):
-        for x, line in enumerate(lines, start=1):
-            if sorted(line) != expected:
-                raise InternalError(
-                    f"circulant {name} {x} does not hold each class label "
-                    f"its part's number of times")
-
-
 def check_circulant_properties(outline: OutlineRectangle,
                                triple_sets: Sequence[TripleSet],
                                partition: Partition) -> list[str]:
@@ -337,7 +320,32 @@ def odd_r_outline(partition: Partition) -> OutlineRectangle:
     Diagonal cells carry h_i^2 copies of their own symbol, and the leading
     3 x 3 corner is the symmetric pattern with h^2 copies of 3, 2, 1 on the
     cells (1,2)/(2,1), (1,3)/(3,1), (2,3)/(3,2) respectively, so both
-    orientations offer beta = h^2 to a later blow-up.
+    orientations offer beta = h^2 to a later blow-up.  It is the
+    amalgamation of :func:`odd_r_labels` along the partition's blocks.
+    """
+    labels = odd_r_labels(partition)
+    groups = _group_map(partition.parts)
+    k = partition.k
+    cells = _amalgamate_labels(labels, groups, groups, range(k + 1), (k, k))
+    outline = OutlineRectangle(partition, partition, partition, cells)
+    bad = validate_outline(outline)
+    if bad:
+        raise InternalError(f"odd-r outline invalid: {bad[0]}")
+    for i in range(1, k + 1):
+        if outline.counts[i - 1][i - 1] != {i: partition.part(i) ** 2}:
+            raise InternalError(f"odd-r diagonal cell ({i},{i}) wrong")
+    return outline
+
+
+def odd_r_labels(partition: Partition) -> list[list[int]]:
+    """The n x n label grid of :func:`odd_r_outline`, before amalgamation.
+
+    Cell (x, y) holds the class of the seed's symbol there: the label grid
+    of the circulant rectangle for (3h, h4, ..., hk), with its first 3h
+    symbols grouped by h into classes 1, 2, 3 and its tail blocks into
+    classes 4..k, and with the 3h x 3h corner overwritten by the 3 x 3 block
+    pattern of the outline.  Rows and columns are units, so a caller that
+    needs no outline square lifts only the symbols.
     """
     parts = partition.parts
     if len(parts) < 4:
@@ -360,39 +368,17 @@ def odd_r_outline(partition: Partition) -> OutlineRectangle:
             f"[{2 * h4}, {r + 1 - 2 * h4}]")
 
     labels, _, _ = _circulant_labels(Partition((3 * h,) + tail))
-    n = partition.n
-    k = partition.k
-    # Index maps: contiguous h-groups over [3h], tail blocks unchanged.
-    row_map = [0] * (n + 1)
-    for x in range(1, 3 * h + 1):
-        row_map[x] = (x - 1) // h + 1
-    pos = 3 * h
-    for i in range(4, k + 1):
-        for _ in range(parts[i - 1]):
-            pos += 1
-            row_map[pos] = i
-    sym_map = [0] * (3 * h + k - 2 + 1)
-    for v in range(1, 3 * h + 1):
-        sym_map[v] = (v - 1) // h + 1
-    for i in range(2, k - 1):
-        sym_map[3 * h + i - 1] = i + 2
-    cells = _amalgamate_labels(labels, row_map, row_map, sym_map, (k, k))
-
-    hh = h * h
-    corner = {(1, 1): 1, (2, 2): 2, (3, 3): 3,
-              (1, 2): 3, (2, 1): 3, (1, 3): 2, (3, 1): 2, (2, 3): 1,
-              (3, 2): 1}
-    for (i, j), sym in corner.items():
-        cells[i - 1][j - 1] = {sym: hh}
-
-    outline = OutlineRectangle(partition, partition, partition, cells)
-    bad = validate_outline(outline)
-    if bad:
-        raise InternalError(f"odd-r outline invalid: {bad[0]}")
-    for i in range(1, k + 1):
-        if outline.counts[i - 1][i - 1] != {i: partition.part(i) ** 2}:
-            raise InternalError(f"odd-r diagonal cell ({i},{i}) wrong")
-    return outline
+    # symbols 1..3h in h-groups, then the circulant's tail labels 3h + 1 ..
+    # onto classes 4..k
+    sym_map = [0] + [(v - 1) // h + 1 for v in range(1, 3 * h + 1)] + \
+        list(range(4, partition.k + 1))
+    grid = [[sym_map[v] for v in row] for row in labels]
+    corner = ((1, 3, 2), (3, 2, 1), (2, 1, 3))
+    block_rows = [[sym for sym in pattern for _ in range(h)]
+                  for pattern in corner]
+    for x in range(3 * h):
+        grid[x][:3 * h] = block_rows[x // h]
+    return grid
 
 
 def even_r_outline(partition: Partition,

@@ -378,6 +378,25 @@ def _amalgamate_labels(labels: Sequence[Sequence[int]],
     return out
 
 
+def _check_labels(labels: Sequence[Sequence[int]],
+                  sym_partition: Partition) -> None:
+    """Raise :class:`InternalError` unless every row and every column of
+    ``labels`` holds each label l exactly r_l times.
+
+    These are the outline conditions (:func:`validate_outline`) of the
+    outline with singleton rows and columns whose cell (i, j) holds
+    ``labels[i-1][j-1]`` once.
+    """
+    expected = [l for l, r in enumerate(sym_partition.parts, start=1)
+                for _ in range(r)]
+    for name, lines in (("row", labels), ("column", zip(*labels))):
+        for x, line in enumerate(lines, start=1):
+            if sorted(line) != expected:
+                raise InternalError(
+                    f"label {name} {x} does not hold each class label "
+                    f"its part's number of times")
+
+
 @dataclass(frozen=True)
 class OutlineRectangle:
     """A u x v array of symbol multisets tagged with partitions (P, Q, R).
@@ -554,7 +573,8 @@ def exists(partition: Partition) -> Existence:
     """Decide existence of a realization where the known results apply.
 
     Decides every partition with at most four parts, every single-size and
-    two-size partition, and every partition whose three largest parts agree;
+    two-size partition, and every partition whose three largest parts agree,
+    and rejects the rest when 2*h1 + h2 > n (a necessary condition);
     everything else is honestly Unknown.  The reason tag is machine readable.
     """
     if not partition.is_non_increasing():
@@ -604,5 +624,11 @@ def exists(partition: Partition) -> Existence:
         return Existence("yes", "three-equal-largest",
                          "three or more equal largest parts always admit a "
                          "realization")
+    if 2 * h[0] + h[1] > partition.n:
+        # the h1 x h2 cells in block 1's rows and block 2's columns hold no
+        # symbol of either block, so each such column needs h1 of the others
+        return Existence("no", "two-blocks-bound",
+                         f"2*h1 + h2 = {2 * h[0] + h[1]} exceeds n = "
+                         f"{partition.n}")
     return Existence("unknown", "uncharacterized",
                      "no applicable existence result")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .base import _two_size_outline, _uniform_outline, ls_uniform
-from .circulant import even_r_outline, odd_r_outline
+from .circulant import even_r_outline, odd_r_labels, odd_r_outline
 from .compose import add_on_step, blow_up
 from .core import (
     InternalError,
@@ -26,7 +26,7 @@ from .core import (
     reduce as reduce_square,
     verify_subsquares,
 )
-from .lift import lift_to_realization
+from .lift import lift_labels_to_realization, lift_to_realization
 
 
 @dataclass
@@ -104,12 +104,17 @@ def select_t(h1: int, h4: int, hk: int, r: int,
         f"no even-parity seed size for h1={h1}, h4={h4}, hk={hk}, r={r}")
 
 
-def attempt_pipeline(partition: Partition,
-                     ) -> tuple[OutlineRectangle, dict]:
+def attempt_pipeline(partition: Partition, labels: bool = False,
+                     ) -> tuple[OutlineRectangle | list[list[int]], dict]:
     """Circulant seed and blow-up to h1: an outline square for the
     partition, not yet lifted, and the seed parameters.  Raises
     PreconditionError when the partition's parameters fall outside the seed
-    constructions."""
+    constructions.
+
+    With ``labels``, an odd-tail seed of size t = h1 is the partition itself
+    and its blow-up the identity, so its label grid (:func:`odd_r_labels`,
+    whose amalgamation the outline square is) is returned instead.
+    """
     parts = partition.parts
     if len(parts) < 4:
         raise PreconditionError("pipeline needs a tail beyond three classes")
@@ -121,16 +126,19 @@ def attempt_pipeline(partition: Partition,
     t = select_t(h1, tail[0], parts[-1], r)
     seed = Partition((t, t, t) + tail)
     if r % 2:
-        outline = odd_r_outline(seed)
         beta1 = beta2 = t * t
         parity = "odd"
+        if labels and t == h1:
+            built = odd_r_labels(seed)
+        else:
+            built = blow_up(odd_r_outline(seed), h1, beta1, beta2)
     else:
         outline, beta1, beta2 = even_r_outline(seed)
         parity = "even"
-    blown = blow_up(outline, h1, beta1, beta2)
+        built = blow_up(outline, h1, beta1, beta2)
     info = {"t": t, "parity": parity, "beta1": beta1, "beta2": beta2,
             "g": h1}
-    return blown, info
+    return built, info
 
 
 def construct_m_equal(partition: Partition, m: int | None = None,
@@ -162,9 +170,12 @@ def _rebuild_hypothesis(parts: Sequence[int], level: int) -> bool:
 
 
 def _m_equal_outline(partition: Partition, m: int | None,
-                     ) -> tuple[OutlineRectangle | None, ConstructionTrace]:
+                     labels: bool = False,
+                     ) -> tuple[OutlineRectangle | list[list[int]] | None,
+                                ConstructionTrace]:
     """construct_m_equal's checks and route choice, stopping at the outline
-    square; None for uniform inputs, which need no lift."""
+    square; None for uniform inputs, which need no lift.  ``labels`` is
+    passed on to :func:`attempt_pipeline`."""
     parts = partition.parts
     if not partition.is_non_increasing():
         raise PreconditionError("partition must be sorted non-increasing")
@@ -196,7 +207,7 @@ def _m_equal_outline(partition: Partition, m: int | None,
         trace.add("uniform", a=parts[0], k=k)
         return None, trace
     try:
-        outline, info = attempt_pipeline(partition)
+        outline, info = attempt_pipeline(partition, labels)
         trace.add("circulant-pipeline", m=chosen, **info)
         return outline, trace
     except PreconditionError as exc:
@@ -221,7 +232,10 @@ def construct_main(partition: Partition,
     later level adds (h_l - h_{l+1}) add-on arrays to the previous outline
     square.  Steps whose source and target partitions coincide are
     skipped.  Only the final outline square becomes a latin square: lift
-    once at the end.
+    once at the end.  When the rebuild is the last step and its seed is the
+    odd-tail one of size h1, the square is lifted from the seed's label
+    grid, whose rows and columns are already units: only its symbols are
+    split.
     """
     parts = partition.parts
     if not partition.is_non_increasing():
@@ -252,9 +266,16 @@ def construct_main(partition: Partition,
         trace.add("uniform-base", a=parts[k - 1], k=k)
     else:
         # everything above the last rebuild is discarded by it, so begin
-        # there outright
-        outline, inner = _m_equal_outline(level_partition(start), start)
+        # there outright; when no add-on step follows (start == m), an odd
+        # seed of size h1 comes back as its label grid, and only its symbols
+        # are lifted
+        outline, inner = _m_equal_outline(level_partition(start), start,
+                                          labels=start == m)
         trace.add("rebuild", level=start, inner=inner.steps)
+        if isinstance(outline, list):
+            square, certificate = lift_labels_to_realization(outline,
+                                                             partition)
+            return square, certificate, trace
 
     # every later level with distinct parts fails the rebuild hypothesis,
     # which implies the add-on bound, so its add-on step applies

@@ -17,6 +17,15 @@ symbol a perfect matching.  Both halvings run one pairing walk,
 :func:`_pair_walk`.  On a valid outline rectangle no extraction, halving
 or matching can fail; any failure is an internal invariant violation.
 
+A grid of class labels whose every row and column holds class l exactly
+r_l times spells out an outline with unit rows and columns, so only the
+symbol phase is left; :func:`lift_labels_to_realization` runs it alone.
+The engine takes that route when its last outline step is the odd-tail
+circulant seed of size h1: the seed is built as such a grid, and
+amalgamating it into the outline square only for :func:`lift` to cut and
+halve every line class back down to units would redo, cell by cell, what
+the seed had already done.
+
 The public single splits share one extraction: :func:`split_row` cuts a
 row class, :func:`split_column` is the row split of the transpose and
 :func:`split_symbol` that of the conjugate (rows and symbols swapped).
@@ -47,6 +56,8 @@ from .core import (
     PreconditionError,
     SubsquareCertificate,
     RealizationError,
+    _check_labels,
+    _group_map,
     reduce as core_reduce,
     validate_outline,
     verify_realization,
@@ -559,15 +570,31 @@ def _split_rows_to_units(state: _LiftState) -> None:
 
 
 def _perfect_matching(adj: list[list[int]], n: int) -> list[int]:
-    """One perfect matching of a regular bipartite graph, rows to columns."""
+    """One perfect matching of a regular bipartite graph, rows to columns.
+
+    A greedy pass matches each row in turn to the free column with the
+    fewest rows still to come (the first such in ``adj`` order), so the
+    columns that later rows could still take stay free; breadth-first
+    augmenting paths then match the rows it left.  On the structured
+    classes of the circulant seeds, the first free column instead left
+    searches about eight times wider.
+    """
     match_row = [-1] * n
     match_col = [-1] * n
-    for i in range(n):
-        for j in adj[i]:
-            if match_col[j] < 0:
-                match_row[i] = j
-                match_col[j] = i
-                break
+    # every column of a regular graph has the rows' degree
+    to_come = [len(adj[0])] * n
+    for i, row in enumerate(adj):
+        best = -1
+        fewest = n
+        for j in row:
+            left = to_come[j] - 1
+            to_come[j] = left
+            if left < fewest and match_col[j] < 0:
+                best = j
+                fewest = left
+        if best >= 0:
+            match_row[i] = best
+            match_col[best] = i
     for i in range(n):
         if match_row[i] >= 0:
             continue
@@ -745,5 +772,38 @@ def lift_to_realization(outline: OutlineRectangle, partition: Partition,
                 f"diagonal cell ({i},{i}) must hold {h * h} copies of symbol "
                 f"{i}", block=i, cell=(i, i))
     square = lift(outline)
+    certificate = verify_realization(square, partition, normal_form=True)
+    return square, certificate
+
+
+def lift_labels_to_realization(labels: list[list[int]], partition: Partition,
+                               ) -> tuple[LatinSquare, SubsquareCertificate]:
+    """:func:`lift_to_realization` of the outline square with unit rows and
+    columns whose cell (i, j) holds ``labels[i-1][j-1]`` once, without
+    building it: only the symbol phase of :func:`lift` runs.
+
+    The grid is a construction's output, so a grid whose lines do not hold
+    each label l exactly h_l times (the outline conditions), or whose
+    diagonal block i holds a label other than i, raises
+    :class:`InternalError` before any symbol is placed.  The round trip,
+    :func:`lift`'s last check, is here that every cell's symbol lies in its
+    label's class.
+    """
+    _check_labels(labels, partition)
+    lo = 0
+    for i, h in enumerate(partition.parts, start=1):
+        own = [i] * h
+        if any(row[lo:lo + h] != own for row in labels[lo:lo + h]):
+            raise InternalError(
+                f"diagonal block {i} of the label grid holds another label")
+        lo += h
+    grid = _split_symbols_to_units(labels, partition.parts)
+    class_of = _group_map(partition.parts)
+    for row, want in zip(grid, labels):
+        if list(map(class_of.__getitem__, row)) != want:
+            raise InternalError(
+                "a symbol left its class in the symbol phase; the label "
+                "grid being lifted is corrupt")
+    square = LatinSquare(grid)
     certificate = verify_realization(square, partition, normal_form=True)
     return square, certificate

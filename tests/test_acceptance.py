@@ -36,11 +36,11 @@ from util import random_latin_square, random_partition
 # of criterion 2; a change that alters any square or trace on purpose re-pins
 # these and says why
 SWEEP_DIGEST = \
-    "9e5ec54c3d7b4a76f9fcfe2f583323e7ce1a811c5576d8b407605e2ef87e150c"
+    "d59b580b803e6927ad77af21889d710460d5e249e2ae7348b1e88576fb8a0631"
 SWEEP_TRACE_DIGEST = \
     "b2780af26489feb33a36c7a3e3d4d2fdb962d256fbe7feba6b61a92011290f8a"
 ROUND_TRIP_DIGEST = \
-    "6121078f98c77c55c86a81af257c8914aec6ddc47f91a3ea75e64a2741dbc960"
+    "f965a457d6278968f0dc9a4f9b7a87437435d1004f3a9c8c0df08bdff427b9be"
 
 
 @contextmanager

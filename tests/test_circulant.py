@@ -14,8 +14,8 @@ from pils import (
     odd_r_outline,
     validate_outline,
 )
+from pils.core import _amalgamate_labels, _check_labels, _group_map
 from pils.circulant import (
-    _check_labels,
     _circulant_labels,
     check_circulant_properties,
     circulant_params,
@@ -23,6 +23,7 @@ from pils.circulant import (
     mod_mul,
     mod_rep,
     mod_sub,
+    odd_r_labels,
 )
 
 
@@ -146,6 +147,27 @@ class TestOddROutline:
         assert outline.cell(2, 3).count(1) == 4
         assert outline.cell(3, 2).count(1) == 4
 
+    # the pinned odd-tail cases of TestPinnedOutputs
+    @pytest.mark.parametrize("parts", [
+        (2, 2, 2, 2, 2, 1, 1, 1, 1, 1),
+        (22, 22, 22, 15, 13, 13, 12, 11, 11, 11, 9),
+        (34, 34, 34, 29, 24, 22, 22, 20, 18, 18, 18, 16, 16, 16, 10),
+    ])
+    def test_outline_amalgamates_the_label_grid(self, parts):
+        P = Partition(parts)
+        labels = odd_r_labels(P)
+        # unit lines: each holds class l h_l times, and block i holds i
+        _check_labels(labels, P)
+        for i in range(1, P.k + 1):
+            block = P.block(i)
+            assert {labels[x - 1][y - 1] for x in block for y in block} == {i}
+        groups = _group_map(parts)
+        cells = _amalgamate_labels(labels, groups, groups, range(P.k + 1),
+                                   (P.k, P.k))
+        # each cell's symbols in the same order, too
+        assert [[list(c.items()) for c in row] for row in cells] == \
+            [[list(c.items()) for c in row] for row in odd_r_outline(P).counts]
+
 
 class TestEvenROutline:
     def test_spec_instance(self):
@@ -232,16 +254,16 @@ class TestPinnedOutputs:
         (circulant_digest, (3, 1, 1, 1, 1, 1),
          "65a39392e2f7e8e75209e490e48b0314328d76d18502ba691e29927a992b8b9a"),
         (circulant_digest, (66, 15, 13, 13, 12, 11, 11, 11, 9),
-         "d808f1b8f6bb73cd38c10e4e3cbe11ecf8c192a4b1d7d640af5f6daf4829562e"),
+         "5eb53a2114decd6b51abc18f7dbc4a29482af2113ee84b38b54f5737baf1a640"),
         (circulant_digest, (103, 16, 16, 15, 15, 15, 14, 14, 14, 10, 8),
          "881fff733d74259b71a538cd4c19b6ce6c8373953b883f5487b08ca76215ebd5"),
         (odd_r_digest, (2, 2, 2, 2, 2, 1, 1, 1, 1, 1),
          "ec734ba94b5af36fd01335371d90c1ff8cac6a2859cb9b71cc6ca121ce76ed1d"),
         (odd_r_digest, (22, 22, 22, 15, 13, 13, 12, 11, 11, 11, 9),
-         "04d98b963c548a64e88cf6dac5378ebe64e019771eb7bdb7df756d400145abfb"),
+         "8cf1dbb6d9b064f2e586f634e3b510c8c58b2912ab8fb840b8c7aff16a8edf36"),
         (odd_r_digest, (34, 34, 34, 29, 24, 22, 22, 20, 18, 18, 18, 16, 16,
                         16, 10),
-         "e979bdcd9fca6a8a956602d2b12cc311718c46682dad1f2af43df21038b2c528"),
+         "6464e4091721bae008ae21f539c916381f9f7c479cb6b86aaf55a45aa40b49af"),
         (even_r_digest, (3, 3, 3, 2, 2, 2, 2, 2, 2, 2),
          "63ac2854b1ed7476a07a1acaaa22022c9ada98215a0abe61300187f98e3fde70"),
         (even_r_digest, (2, 2, 2, 2) + (1,) * 10,

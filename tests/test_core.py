@@ -11,6 +11,7 @@ from pils import (
     PartitionError,
     PreconditionError,
     RealizationError,
+    enumerate_partitions,
     exists,
     is_latin,
     reduce,
@@ -295,6 +296,17 @@ class TestExists:
         assert exists(Partition([3, 3, 3, 3, 3])).reason == "uniform-sizes"
         assert exists(Partition([3, 3, 3, 1, 1])).reason == "two-sizes"
         assert exists(Partition([4, 4, 4, 3, 1])).reason == "three-equal-largest"
+
+    def test_two_blocks_bound(self):
+        # the h1 x h2 cells in block 1's rows and block 2's columns hold no
+        # symbol of either block, so 2*h1 + h2 <= n is necessary
+        breakers = [P for n in range(1, 15) for P in enumerate_partitions(n)
+                    if P.k >= 2 and 2 * P.part(1) + P.part(2) > n]
+        assert len(breakers) > 100
+        assert {exists(P).verdict for P in breakers} == {"no"}
+        # one that no family decides
+        assert exists(Partition([5, 3, 2, 1, 1])).reason == "two-blocks-bound"
+        assert exists(Partition([5, 3, 2, 2, 1])).verdict == "unknown"
 
     def test_requires_sorted(self):
         with pytest.raises(PreconditionError):

@@ -148,10 +148,37 @@ class TestConstructMain:
         verify_realization(sq, P)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("parts, line_phases", [
+        # odd tail, t = h1, no add-on step: only the symbols are lifted
+        ((3, 3, 3, 2, 2, 2) + (1,) * 7, False),
+        # even tail
+        ((3, 3, 3, 2, 2, 2) + (1,) * 8, True),
+        # odd tail with t < h1: the seed is blown up
+        ((3, 3, 3, 2, 2, 2) + (1,) * 5, True),
+    ])
+    def test_line_phases_run_off_the_label_route(self, parts, line_phases,
+                                                 monkeypatch):
+        lift_module = importlib.import_module("pils.lift")
+        calls = {"_cut_rows_to_blocks": 0, "_split_rows_to_units": 0}
+        for name in calls:
+            def counting(state, _name=name, _original=getattr(lift_module,
+                                                              name)):
+                calls[_name] += 1
+                return _original(state)
+            monkeypatch.setattr(lift_module, name, counting)
+        P = Partition(parts)
+        sq, _, trace = construct_main(P)
+        verify_realization(sq, P)
+        inner = trace.steps[0]["inner"][0]
+        assert (inner["parity"] == "odd" and inner["t"] == P.part(1)) \
+            == (not line_phases)
+        assert all(calls.values()) == line_phases
+        assert any(calls.values()) == line_phases
+
     def test_defect_in_rebuild_is_not_swallowed(self, monkeypatch):
         engine = importlib.import_module("pils.engine")
 
-        def broken(partition, m):
+        def broken(partition, m, labels=False):
             raise InternalError("injected")
 
         monkeypatch.setattr(engine, "_m_equal_outline", broken)

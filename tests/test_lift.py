@@ -17,7 +17,9 @@ from pils import (
     extract_exact_degree_subgraph,
     is_latin,
     lift,
+    lift_labels_to_realization,
     lift_to_realization,
+    odd_r_outline,
     reduce,
     split_column,
     split_row,
@@ -25,7 +27,8 @@ from pils import (
     validate_outline,
     verify_realization,
 )
-from pils.lift import _conjugate, _halve, _peel_class
+from pils.circulant import odd_r_labels
+from pils.lift import _conjugate, _halve, _peel_class, _perfect_matching
 from reference import (
     REDUCTION_COLS,
     REDUCTION_ROWS,
@@ -429,6 +432,69 @@ class TestPeelClass:
             assert matchings == 0
         else:
             assert 2 * matchings <= r
+
+
+class TestPerfectMatching:
+    @pytest.mark.parametrize("n", [200, 257])
+    @pytest.mark.parametrize("r", [3, 5, 9, 31])
+    def test_band_graphs(self, n, r):
+        # row i is joined to columns i .. i + r - 1 (mod n)
+        adj = [[(i + d) % n for d in range(r)] for i in range(n)]
+        match = _perfect_matching(adj, n)
+        assert sorted(match) == list(range(n))
+        assert all(j in row for j, row in zip(match, adj))
+
+    def test_non_regular_graph_raises(self):
+        # rows 1 and 2 can only take column 0
+        with pytest.raises(InternalError, match="no perfect matching"):
+            _perfect_matching([[0, 1], [0], [0]], 3)
+
+
+# an odd-tail seed of size h1 with no add-on step after it: construct_main
+# lifts it from its label grid
+LABEL_ROUTE = Partition((3, 3, 3, 2, 2, 2) + (1,) * 7)
+
+
+class TestLiftLabelsToRealization:
+    def test_round_trip_of_the_odd_seed(self):
+        labels = odd_r_labels(LABEL_ROUTE)
+        square, cert = lift_labels_to_realization(labels, LABEL_ROUTE)
+        verify_realization(square, LABEL_ROUTE)
+        ones = Partition([1] * LABEL_ROUTE.n)
+        assert reduce(square, ones, ones, LABEL_ROUTE).cells == tuple(
+            tuple((l,) for l in row) for row in labels)
+        # and it amalgamates to the seed's outline square
+        assert reduce(square, LABEL_ROUTE, LABEL_ROUTE, LABEL_ROUTE).counts \
+            == odd_r_outline(LABEL_ROUTE).counts
+
+    def test_swapped_labels_raise_before_the_symbol_phase(self, monkeypatch):
+        lift_module = importlib.import_module("pils.lift")
+        calls = []
+        monkeypatch.setattr(lift_module, "_split_symbols_to_units",
+                            lambda *args: calls.append(args))
+        labels = odd_r_labels(LABEL_ROUTE)
+        row = labels[-1]
+        j = next(j for j, v in enumerate(row) if v != row[0])
+        row[0], row[j] = row[j], row[0]
+        with pytest.raises(InternalError, match="label column 1 "):
+            lift_labels_to_realization(labels, LABEL_ROUTE)
+        assert calls == []
+
+    def test_foreign_label_on_diagonal_raises(self):
+        # an intercalate swap keeps every line's labels, and moves label y
+        # into diagonal block 1
+        labels = odd_r_labels(LABEL_ROUTE)
+        h = LABEL_ROUTE.part(1)
+        n = LABEL_ROUTE.n
+        a, b, c, d = next(
+            (a, b, c, d) for a in range(h) for b in range(h)
+            for d in range(h, n) for c in range(h, n)
+            if labels[c][b] == labels[a][d] and labels[c][d] == 1)
+        y = labels[a][d]
+        labels[a][b] = labels[c][d] = y
+        labels[a][d] = labels[c][b] = 1
+        with pytest.raises(InternalError, match="diagonal block 1 "):
+            lift_labels_to_realization(labels, LABEL_ROUTE)
 
 
 class TestLiftToRealization:
