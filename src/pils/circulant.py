@@ -346,6 +346,10 @@ def odd_r_labels(partition: Partition) -> list[list[int]]:
     classes 4..k, and with the 3h x 3h corner overwritten by the 3 x 3 block
     pattern of the outline.  Rows and columns are units, so a caller that
     needs no outline square lifts only the symbols.
+
+    The odd tail sum, the non-increasing tail and the window on h4 and 3h
+    are the preconditions of :func:`circulant_params` on (3h, h4, ..., hk),
+    checked before any grid is built.
     """
     parts = partition.parts
     if len(parts) < 4:
@@ -353,21 +357,8 @@ def odd_r_labels(partition: Partition) -> list[list[int]]:
     h = parts[0]
     if not (parts[0] == parts[1] == parts[2]):
         raise PreconditionError("first three parts must be equal")
-    tail = parts[3:]
-    if any(a < b for a, b in zip(tail, tail[1:])):
-        raise PreconditionError("tail must be non-increasing")
-    r = sum(tail)
-    h4 = tail[0]
-    if r % 2 == 0:
-        raise PreconditionError(f"tail sum r = {r} must be odd")
-    if 4 * h4 > r + 1:
-        raise PreconditionError(f"h4 = {h4} exceeds (r+1)/4")
-    if not 2 * h4 <= 3 * h <= r + 1 - 2 * h4:
-        raise PreconditionError(
-            f"3*h1 = {3 * h} outside [2*h4, r+1-2*h4] = "
-            f"[{2 * h4}, {r + 1 - 2 * h4}]")
 
-    labels, _, _ = _circulant_labels(Partition((3 * h,) + tail))
+    labels, _, _ = _circulant_labels(Partition((3 * h,) + parts[3:]))
     # symbols 1..3h in h-groups, then the circulant's tail labels 3h + 1 ..
     # onto classes 4..k
     sym_map = [0] + [(v - 1) // h + 1 for v in range(1, 3 * h + 1)] + \
@@ -388,7 +379,9 @@ def even_r_outline(partition: Partition,
     One cyclic orientation of the corner carries exactly h^2 spare copies
     (beta1); the other offers at least h(h-1) - 2(hk - 1) after two trades
     route the final block's stray symbols through it (actual count returned
-    as beta2).
+    as beta2).  The first trade works on row 1, column 3 and symbol 2; the
+    second is the same trade run on the transposed array with row 2 and
+    symbol 1, its moves transposed back.
     """
     parts = partition.parts
     if len(parts) < 4:
@@ -425,47 +418,23 @@ def even_r_outline(partition: Partition,
         Partition([3 * h + 1] + circ_tail))
     if len(triple_sets) < 2:
         raise InternalError("even construction needs two free differences")
-    n = partition.n
     R = r + 3  # the extra row/column carrying the widowed subsquare line
-    shift = 3 * h - 2
 
-    # Row groups over [3h]: 1 and 2 anchor the first two groups (their lines
-    # carry the triple structure), then the 2<->3 row, 1<->3 column and
-    # 1<->2 symbol swaps.
-    s_sets = ([1] + list(range(4, h + 3)),
-              [2] + list(range(h + 3, 2 * h + 2)),
-              [3] + list(range(2 * h + 2, 3 * h + 1)))
-    row_group = {}
-    for g, members in zip((1, 3, 2), s_sets):
-        for x in members:
-            row_group[x] = g
-    col_group = {}
-    for g, members in zip((3, 2, 1), s_sets):
-        for x in members:
-            col_group[x] = g
-    sym_group = {}
-    for g, members in zip((2, 1, 3), s_sets):
-        for x in members:
-            sym_group[x] = g
+    # [3h] falls into the groups {1} + [4, h+2], {2} + [h+3, 2h+1] and
+    # {3} + [2h+2, 3h]: lines 1 and 2 anchor the first two (they carry the
+    # triple structure), and the three owners of the groups make the 2<->3
+    # row, 1<->3 column and 1<->2 symbol swaps.  3h + 1 goes to ``last``,
+    # and the lines and symbols after it move down to 4, 5, ...
+    group = [0, 0, 1, 2] + [(x - 4) // (h - 1) for x in range(4, 3 * h + 1)]
 
-    def row_final(x: int) -> int:
-        if x <= 3 * h:
-            return row_group[x]
-        return R if x == 3 * h + 1 else x - shift
+    def class_map(owners: tuple[int, int, int], last: int, size: int,
+                  ) -> list[int]:
+        return ([0] + [owners[group[x]] for x in range(1, 3 * h + 1)]
+                + [last] + list(range(4, size - 3 * h + 3)))
 
-    def col_final(x: int) -> int:
-        if x <= 3 * h:
-            return col_group[x]
-        return R if x == 3 * h + 1 else x - shift
-
-    def sym_final(v: int) -> int:
-        if v <= 3 * h:
-            return sym_group[v]
-        return k if v == 3 * h + 1 else v - shift
-
-    row_map = [0] + [row_final(x) for x in range(1, n + 1)]
-    col_map = [0] + [col_final(x) for x in range(1, n + 1)]
-    sym_map = [0] + [sym_final(v) for v in range(1, circ_syms.k + 1)]
+    row_map = class_map((1, 3, 2), R, partition.n)
+    col_map = class_map((3, 2, 1), R, partition.n)
+    sym_map = class_map((2, 1, 3), k, circ_syms.k)
     cells = _amalgamate_labels(labels, row_map, col_map, sym_map, (R, R))
 
     corner_idx = (1, 2, 3, R)
@@ -487,54 +456,26 @@ def even_r_outline(partition: Partition,
     for (i, j), content in substitution.items():
         cells[i - 1][j - 1] = content
 
-    t1 = [(x - shift, y - shift, sym_final(z))
-          for x, y, z in triple_sets[0].triples]
-    t2 = [(x - shift, y - shift, sym_final(z))
-          for x, y, z in triple_sets[1].triples]
-    for x, y, z in t1:
-        if cells[x - 1][y - 1] != {2: 1}:
-            raise InternalError(f"first triple cell ({x},{y}) is not {{2}}")
-        if z not in cells[0][y - 1] or z not in cells[x - 1][2]:
-            raise InternalError("first triple lines lost their symbol")
-    for x, y, z in t2:
-        if cells[x - 1][y - 1] != {1: 1}:
-            raise InternalError(f"second triple cell ({x},{y}) is not {{1}}")
-        if z not in cells[x - 1][1] or z not in cells[2][y - 1]:
-            raise InternalError("second triple lines lost their symbol")
-
-    delta: dict[tuple[int, int], Counter] = defaultdict(Counter)
-
-    def move(rr: int, cc: int, remove: int, add: int) -> None:
-        delta[(rr, cc)][remove] -= 1
-        delta[(rr, cc)][add] += 1
-
+    t1, t2 = ([(row_map[x], col_map[y], sym_map[z]) for x, y, z in ts.triples]
+              for ts in triple_sets[:2])
     block_k_lines = set(range(r - hk + 4, r + 3))  # proper lines of the block
 
-    def trade(triples: list[tuple[int, int, int]], transposed: bool) -> int:
-        """One repair trade; returns the size of the cover used."""
-
-        def cell_at(rr: int, cc: int) -> Counts:
-            return cells[cc - 1][rr - 1] if transposed else cells[rr - 1][cc - 1]
-
-        def mv(rr: int, cc: int, remove: int, add: int) -> None:
-            if transposed:
-                move(cc, rr, remove, add)
-            else:
-                move(rr, cc, remove, add)
-
-        # First trade: row 1, column 3, symbol 2.  Mirrored trade: row 3,
-        # column 2, symbol 1, with every cell transposed; mv() undoes the
-        # transposition, so home/start are given in working coordinates.
-        filler = 1 if transposed else 2
-        home_line = 3
-        start_line = 2 if transposed else 1
-        if transposed:
-            trips = [(y, x, z) for x, y, z in triples]
-        else:
-            trips = list(triples)
+    def trade(work: Sequence[Sequence[Counts]],
+              triples: list[tuple[int, int, int]], filler: int, start: int,
+              ) -> list[tuple[int, int, int, int]]:
+        """One repair trade of ``work`` along row ``start`` and column 3,
+        paid in symbol ``filler``: its moves as (row, column, symbol
+        removed, symbol added).  ``work`` is only read."""
+        for x, y, z in triples:
+            if work[x - 1][y - 1] != {filler: 1}:
+                raise InternalError(
+                    f"triple cell ({x},{y}) of the symbol-{filler} trade "
+                    f"is not {{{filler}}}")
+            if z not in work[start - 1][y - 1] or z not in work[x - 1][2]:
+                raise InternalError("triple lines lost their symbol")
         a_cols = [R - i for i in range(1, hk)]
         b_cols = [c for c in range(4, r + 3)
-                  if cell_at(R, c) == {k: 1}]
+                  if work[R - 1][c - 1] == {k: 1}]
         if len(b_cols) != hk - 1:
             raise InternalError(
                 f"expected {hk - 1} stray block symbols on the widowed line, "
@@ -542,20 +483,20 @@ def even_r_outline(partition: Partition,
         c_rows = []
         d_syms = []
         for a in a_cols:
-            inner = [x for x in range(4, r + 3)
-                     if x not in block_k_lines and cell_at(x, a) == {k: 1}]
+            inner = [x for x in range(4, r + 3) if x not in block_k_lines
+                     and work[x - 1][a - 1] == {k: 1}]
             if len(inner) != 1 or inner[0] > r + 3 - hk:
                 raise InternalError("stray block symbol not unique in line")
             c_rows.append(inner[0])
-            dcell = cell_at(R, a)
+            dcell = work[R - 1][a - 1]
             d = next(iter(dcell), 0)
             if dcell != {d: 1} or d < 4 or d == k:
                 raise InternalError(f"unexpected widowed-line cell at {a}")
             d_syms.append(d)
 
-        by_col = {y: (x, y, z) for x, y, z in trips}
-        by_row = {x: (x, y, z) for x, y, z in trips}
-        if len(by_col) != len(trips) or len(by_row) != len(trips):
+        by_col = {y: (x, y, z) for x, y, z in triples}
+        by_row = {x: (x, y, z) for x, y, z in triples}
+        if len(by_col) != len(triples) or len(by_row) != len(triples):
             raise InternalError("triple coordinates are not transversal")
         cover: list[tuple[int, int, int]] = []
         in_cover: set[tuple[int, int, int]] = set()
@@ -571,7 +512,7 @@ def even_r_outline(partition: Partition,
             take(by_row[row])
         need = Counter(d_syms)
         need.subtract(Counter(z for _, _, z in cover))
-        for tr in trips:
+        for tr in triples:
             if all(cnt <= 0 for cnt in need.values()):
                 break
             if need[tr[2]] > 0 and tr not in in_cover:
@@ -579,38 +520,30 @@ def even_r_outline(partition: Partition,
                 need[tr[2]] -= 1
         if any(cnt > 0 for cnt in need.values()):
             raise InternalError("cover cannot supply the displaced symbols")
-        u = len(cover)
-        if u > 4 * (hk - 1):
-            raise InternalError(f"cover size {u} exceeds 4(hk-1)")
+        if len(cover) > 4 * (hk - 1):
+            raise InternalError(f"cover size {len(cover)} exceeds 4(hk-1)")
 
+        moves = []
         for x, y, z in cover:
-            mv(x, y, filler, z)
-            mv(x, home_line, z, filler)
-            mv(start_line, y, z, filler)
+            moves += [(x, y, filler, z), (x, 3, z, filler),
+                      (start, y, z, filler), (start, 3, filler, z)]
         for a, c, d in zip(a_cols, c_rows, d_syms):
-            mv(R, a, d, k)
-            mv(c, home_line, filler, k)
-            mv(c, a, k, filler)
-            mv(start_line, a, filler, d)
+            moves += [(R, a, d, k), (c, 3, filler, k), (c, a, k, filler),
+                      (start, a, filler, d), (R, 3, filler, d),
+                      (start, 3, d, filler), (start, 3, k, filler)]
         for b in b_cols:
-            mv(R, b, k, filler)
-            mv(start_line, b, filler, k)
-        key = (home_line, R) if transposed else (R, home_line)
-        delta[key][filler] -= hk - 1
-        for d in d_syms:
-            delta[key][d] += 1
-        key = (home_line, start_line) if transposed else (start_line, home_line)
-        delta[key][filler] += -u + 2 * (hk - 1)
-        for _, _, z in cover:
-            delta[key][z] += 1
-        for d in d_syms:
-            delta[key][d] -= 1
-        delta[key][k] -= hk - 1
-        return u
+            moves += [(R, b, k, filler), (start, b, filler, k)]
+        return moves
 
-    if hk >= 2:
-        trade(t1, transposed=False)
-        trade(t2, transposed=True)
+    # both trades read the cells before either one's moves are applied; with
+    # hk = 1 they only check their triples and move nothing
+    moves = trade(cells, t1, 2, 1)
+    mirrored = trade(list(zip(*cells)), [(y, x, z) for x, y, z in t2], 1, 2)
+    moves += [(cc, rr, remove, add) for rr, cc, remove, add in mirrored]
+    delta: dict[tuple[int, int], Counter] = defaultdict(Counter)
+    for rr, cc, remove, add in moves:
+        delta[(rr, cc)][remove] -= 1
+        delta[(rr, cc)][add] += 1
 
     for (rr, cc), change in delta.items():
         if sum(change.values()) != 0:
@@ -625,16 +558,7 @@ def even_r_outline(partition: Partition,
             cell[s] = left
 
     # Final row and column amalgamation to the target partition.
-    line_map = [0] * (R + 1)
-    for x in (1, 2, 3):
-        line_map[x] = x
-    pos = 3
-    for i in range(4, k + 1):
-        width = parts[i - 1] - (1 if i == k else 0)
-        for _ in range(width):
-            pos += 1
-            line_map[pos] = i
-    line_map[R] = k
+    line_map = _group_map((1, 1, 1) + tail[:-1] + (hk - 1,)) + [k]
     final = _amalgamate(cells, line_map, line_map, range(k + 1), (k, k))
 
     outline = OutlineRectangle(partition, partition, partition, final)

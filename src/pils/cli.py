@@ -27,7 +27,7 @@ from .core import (
     reduce as reduce_square,
     verify_realization,
 )
-from .base import _CompletionBudget
+from .base import _CompletionBudget, ls_one_big, ls_uniform
 from .engine import construct_ils, construct_main
 from .lift import lift
 from .oracle import DEFAULT_BUDGET, find_realization_bruteforce
@@ -138,12 +138,10 @@ def _construct_dispatch(partition: Partition):
         square, certificate, trace = construct_main(partition)
         return (square, certificate, trace), verdict
     if len(set(parts)) == 1 and k != 2:
-        from .base import ls_uniform
         square, certificate = ls_uniform(parts[0], k)
         return (square, certificate, None), verdict
     if parts[0] >= 1 and all(p == 1 for p in parts[1:]) and k >= 4 \
             and parts[0] <= k - 2:
-        from .base import ls_one_big
         square, certificate = ls_one_big(parts[0], k - 1)
         return (square, certificate, None), verdict
     return None, verdict

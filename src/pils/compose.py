@@ -285,52 +285,6 @@ def add_on_step(outline: OutlineRectangle, target: Partition, level: int,
 # Blow-up
 
 
-@dataclass(frozen=True)
-class BlowupPlan:
-    """Division of the new off-diagonal volume between the two cyclic
-    orientations of the leading 3 x 3 corner."""
-
-    g: int
-    h1: int
-    r: int
-    p: int
-    q: int
-    p_parts: tuple[int, ...]
-    q_parts: tuple[int, ...]
-    beta1: int
-    beta2: int
-
-
-def plan_blow_up(seed: Partition, g: int, beta1: int, beta2: int) -> BlowupPlan:
-    h1 = seed.part(1)
-    tail = seed.parts[3:]
-    r = sum(tail)
-    if g < h1:
-        raise PreconditionError(f"g = {g} below the seed block size {h1}")
-    if beta1 < 0 or beta2 < 0:
-        raise PreconditionError("beta values must be non-negative")
-    volume = r * (g - h1)
-    room = 2 * (g * g - h1 * h1) + beta1 + beta2
-    if volume > room:
-        raise PreconditionError(
-            f"blow-up infeasible: r(g-h1) = {volume} exceeds "
-            f"2(g^2-h1^2)+beta1+beta2 = {room}")
-    p = min(volume, g * g - h1 * h1 + beta1)
-    q = volume - p
-    if q > g * g - h1 * h1 + beta2:
-        raise InternalError("blow-up split out of range despite feasibility")
-    p_parts = []
-    left = p
-    for h in tail:
-        take = min(h * (g - h1), left)
-        p_parts.append(take)
-        left -= take
-    if left:
-        raise InternalError("could not distribute p over the tail")
-    q_parts = tuple(h * (g - h1) - pp for h, pp in zip(tail, p_parts))
-    return BlowupPlan(g, h1, r, p, q, tuple(p_parts), q_parts, beta1, beta2)
-
-
 def blow_up(outline: OutlineRectangle, g: int, beta1: int, beta2: int,
             ) -> OutlineRectangle:
     """Grow the three leading classes of an outline square from h1 to g.
@@ -339,6 +293,12 @@ def blow_up(outline: OutlineRectangle, g: int, beta1: int, beta2: int,
     cells h_i^2 {i}, at least beta1 copies of 1, 2, 3 in cells (2,3), (3,1),
     (1,2) and beta2 copies of 1, 2, 3 in (3,2), (1,3), (2,1).  Output is an
     outline square for (g,g,g,h4..hk) with the diagonal condition restored.
+
+    The new off-diagonal volume r(g - h1), r = h4 + ... + hk, is split
+    between the two cyclic orientations of the leading 3 x 3 corner:
+    p = min(r(g - h1), g^2 - h1^2 + beta1) goes to the beta1 orientation
+    and q = r(g - h1) - p to the beta2 one, and each is dealt over the tail
+    classes in order, class j taking at most h_j(g - h1) of it.
     """
     if not outline.is_square_form():
         raise PreconditionError("blow-up expects an outline square")
@@ -363,12 +323,35 @@ def blow_up(outline: OutlineRectangle, g: int, beta1: int, beta2: int,
             raise PreconditionError(
                 f"cell ({i},{j}) lacks beta2 = {beta2} copies of {sym}")
 
-    plan = plan_blow_up(seed, g, beta1, beta2)
     tail = seed.parts[3:]
-    d1 = plan.p - (g * g - h1 * h1)
-    d2 = plan.q - (g * g - h1 * h1)
-    s1 = {m + 4: c for m, c in enumerate(plan.p_parts)}
-    s2 = {m + 4: c for m, c in enumerate(plan.q_parts)}
+    if g < h1:
+        raise PreconditionError(f"g = {g} below the seed block size {h1}")
+    if beta1 < 0 or beta2 < 0:
+        raise PreconditionError("beta values must be non-negative")
+    volume = sum(tail) * (g - h1)
+    grown = g * g - h1 * h1
+    room = 2 * grown + beta1 + beta2
+    if volume > room:
+        raise PreconditionError(
+            f"blow-up infeasible: r(g-h1) = {volume} exceeds "
+            f"2(g^2-h1^2)+beta1+beta2 = {room}")
+    p = min(volume, grown + beta1)
+    q = volume - p
+    if q > grown + beta2:
+        raise InternalError("blow-up split out of range despite feasibility")
+    p_parts = []
+    left = p
+    for h in tail:
+        take = min(h * (g - h1), left)
+        p_parts.append(take)
+        left -= take
+    if left:
+        raise InternalError("could not distribute p over the tail")
+    q_parts = [h * (g - h1) - pp for h, pp in zip(tail, p_parts)]
+    d1 = p - grown
+    d2 = q - grown
+    s1 = {m + 4: c for m, c in enumerate(p_parts)}
+    s2 = {m + 4: c for m, c in enumerate(q_parts)}
 
     cells = [[dict(c) for c in row] for row in counts]
 
@@ -389,8 +372,7 @@ def blow_up(outline: OutlineRectangle, g: int, beta1: int, beta2: int,
         add(i, j, {**s1, sym: -d1})
     for (i, j), sym in (((2, 1), 3), ((3, 2), 1), ((1, 3), 2)):
         add(i, j, {**s2, sym: -d2})
-    for j in range(4, k + 1):
-        pj, qj = plan.p_parts[j - 4], plan.q_parts[j - 4]
+    for j, pj, qj in zip(range(4, k + 1), p_parts, q_parts):
         add(1, j, {3: pj, 2: qj})
         add(2, j, {1: pj, 3: qj})
         add(3, j, {2: pj, 1: qj})

@@ -58,6 +58,8 @@ def find_realization_bruteforce(partition: Partition,
     """
     if not partition.is_non_increasing():
         raise PreconditionError("oracle expects non-increasing parts")
+    if budget < 1:
+        raise PreconditionError(f"node budget {budget} must be at least 1")
     parts = partition.parts
     n = partition.n
     k = partition.k

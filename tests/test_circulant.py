@@ -15,6 +15,8 @@ from pils import (
     validate_outline,
 )
 from pils.core import _amalgamate_labels, _check_labels, _group_map
+from pils.engine import attempt_pipeline
+from pils.oracle import enumerate_partitions
 from pils.circulant import (
     _circulant_labels,
     check_circulant_properties,
@@ -273,3 +275,45 @@ class TestPinnedOutputs:
     ])
     def test_outline_digest(self, build, parts, expected):
         assert build(parts) == expected
+
+
+# sha256 over every seed outline and pipeline outline at n <= 30 with three
+# equal leading parts (each cell as its ``list(items())``, so dict order is
+# pinned too), or over the fact that the call was rejected
+SEED_DIGEST = \
+    "a936e6f56d60ce1aa1ac4c06a7a23e326d5af3eb43873c421ca86172e039915c"
+
+
+def test_seed_outlines_are_pinned():
+    digest = hashlib.sha256()
+    built = {"odd": 0, "even": 0, "pipeline": 0, "rejected": 0}
+
+    def odd(P):
+        return odd_r_outline(P), ()
+
+    def even(P):
+        outline, beta1, beta2 = even_r_outline(P)
+        return outline, (beta1, beta2)
+
+    def pipeline(P):
+        return attempt_pipeline(P)
+
+    for n in range(3, 31):
+        for P in enumerate_partitions(n):
+            if P.k < 3 or P.part(1) != P.part(3):
+                continue
+            for name, build in (("odd", odd), ("even", even),
+                                ("pipeline", pipeline)):
+                try:
+                    outline, extra = build(P)
+                except PreconditionError:
+                    built["rejected"] += 1
+                    digest.update(repr((name, P.parts, "rejected")).encode())
+                    continue
+                built[name] += 1
+                cells = [[list(c.items()) for c in row]
+                         for row in outline.counts]
+                digest.update(repr((name, P.parts, cells, extra)).encode())
+    assert built == {"odd": 279, "even": 202, "pipeline": 871,
+                     "rejected": 4303}
+    assert digest.hexdigest() == SEED_DIGEST

@@ -185,6 +185,12 @@ class TestOracleCommand:
     def test_budget(self, capsys):
         assert main(["oracle", "3,3,3", "--budget", "2"]) == 2
 
+    @pytest.mark.parametrize("partition, budget", [("3,3,3", "-1"),
+                                                   ("2,2,1,1", "0")])
+    def test_budget_below_one_is_usage_error(self, partition, budget, capsys):
+        assert main(["oracle", partition, "--budget", budget]) == 64
+        assert "budget" in capsys.readouterr().err
+
 
 class TestIlsCommand:
     def test_basic(self, capsys):

@@ -1,4 +1,6 @@
-from pils import Partition, verify_realization
+import pytest
+
+from pils import Partition, PreconditionError, verify_realization
 from pils.oracle import enumerate_partitions, find_realization_bruteforce
 
 
@@ -43,6 +45,13 @@ class TestBruteforce:
     def test_budget_exceeded_is_distinct(self):
         result = find_realization_bruteforce(Partition([3, 3, 3]), budget=3)
         assert result.status == "budget-exceeded"
+
+    @pytest.mark.parametrize("parts, budget", [((3, 3, 3), -1),
+                                               ((2, 2, 1, 1), 0),
+                                               ((1,), 0)])
+    def test_budget_below_one_is_rejected(self, parts, budget):
+        with pytest.raises(PreconditionError, match="budget"):
+            find_realization_bruteforce(Partition(parts), budget=budget)
 
     def test_found_squares_verify(self):
         for parts in [(2, 2, 2), (2, 1, 1, 1), (2, 2, 2, 1), (3, 1, 1, 1, 1)]:
