@@ -8,7 +8,6 @@ exhaustive small-order oracle.
 
 from .core import (
     Existence,
-    FrequencyArray,
     GridError,
     InternalError,
     LatinSquare,
@@ -45,7 +44,6 @@ from .circulant import (
     odd_r_outline,
 )
 from .compose import (
-    OutlineArray,
     add_on_outline,
     amalgamate_outline_array,
     blow_up,

@@ -66,9 +66,19 @@ def parse_partition(text: str) -> Partition:
 
 
 def read_grid(path: str) -> LatinSquare:
+    """Read a grid of whitespace- or comma-separated integers, skipping blank
+    lines.  A file with more than :data:`MAX_ORDER` rows or columns is
+    rejected with ValueError as soon as it shows that, before the rest is
+    read or any latin check runs."""
+    rows: list[list[int]] = []
     with open(path) as fh:
-        rows = [[int(v) for v in line.replace(",", " ").split()]
-                for line in fh if line.strip()]
+        for line in fh:
+            values = line.replace(",", " ").split()
+            if not values:
+                continue
+            if len(rows) == MAX_ORDER or len(values) > MAX_ORDER:
+                raise ValueError(f"grid order above the limit {MAX_ORDER}")
+            rows.append([int(v) for v in values])
     return LatinSquare(rows)
 
 
@@ -193,11 +203,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    square = read_grid(args.file)
-    outline = reduce_square(square,
-                            parse_partition(args.rows),
-                            parse_partition(args.cols),
-                            parse_partition(args.syms))
+    partitions = [parse_partition(text)
+                  for text in (args.rows, args.cols, args.syms)]
+    outline = reduce_square(read_grid(args.file), *partitions)
     print(json.dumps(outline_to_json(outline)))
     return EX_OK
 

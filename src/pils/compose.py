@@ -1,12 +1,14 @@
-"""Frequency-array machinery and the blow-up step.
+"""Outline arrays and the blow-up step.
 
-An outline array is a k x k array of symbol multisets whose cell sizes, row
-symbol counts and column symbol counts all agree with a single k x k
-frequency array F: |O(i,j)| = F(i,j), symbol l occurs F(i,l) times in row i
-and F(l,j) times in column j.  An outline square associated to a partition
-(h1..hk) is exactly an outline array for F(i,j) = hi*hj.  Cells are stored
-as ``{symbol: count}`` maps, as in :class:`~pils.core.OutlineRectangle`, and
-every operation here adds, scales or merges those counts.
+An outline array is a k x k array of symbol multisets whose row symbol
+counts and column symbol counts agree with its cell sizes F(i,j) = |O(i,j)|:
+symbol l occurs F(i,l) times in row i and F(l,j) times in column j.  An
+outline square associated to a partition (h1..hk) is exactly an outline
+array with F(i,j) = hi*hj.  An outline array is a plain grid (a list of
+rows) of ``{symbol: count}`` maps, the form
+:class:`~pils.core.OutlineRectangle` stores; every operation here adds,
+scales or merges those counts into fresh maps and never changes a map it
+was given.
 
 The operations here are the ones the induction needs: cellwise sums,
 amalgamation along a set partition of the classes, the add-on array built
@@ -17,74 +19,48 @@ outline square from h1 to g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
     Counts,
-    FrequencyArray,
     GridError,
     InternalError,
-    Multiset,
     OutlineRectangle,
     Partition,
     PreconditionError,
     _amalgamate,
     _amalgamate_labels,
-    _count_cells,
-    _expand,
     validate_outline,
 )
 
-
-@dataclass(frozen=True)
-class OutlineArray:
-    """A k x k array of multisets over symbols [k].
-
-    ``counts`` stores the cells as ``{symbol: count}`` maps without zero
-    counts, never changed after construction; the constructor takes each
-    cell as such a map or as an iterable of symbols.
-    """
-
-    k: int
-    counts: tuple[tuple[Counts, ...], ...]
-
-    def __init__(self, cells: Sequence[Sequence[Counts | Iterable[int]]]):
-        k = len(cells)
-        if any(len(row) != k for row in cells):
-            raise GridError("outline array must be square")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "counts", _count_cells(cells, k))
-
-    @property
-    def cells(self) -> tuple[tuple[Multiset, ...], ...]:
-        """Every cell as a sorted tuple of symbols (a read-only view)."""
-        return tuple(tuple(_expand(c) for c in row) for row in self.counts)
-
-    def cell(self, i: int, j: int) -> Multiset:
-        return _expand(self.counts[i - 1][j - 1])
-
-    def frequency(self) -> FrequencyArray:
-        """The frequency array given by the cell sizes."""
-        return FrequencyArray([[sum(c.values()) for c in row]
-                               for row in self.counts])
+Grid = Sequence[Sequence[Counts]]
 
 
-def validate_outline_array(array: OutlineArray) -> list[str]:
+def validate_outline_array(array: Grid) -> list[str]:
     """Check the row and column count conditions against the cell sizes.
 
-    Returns human-readable violations; empty means the array is an outline
-    array for its own frequency array.
+    Returns human-readable violations; empty means the grid is an outline
+    array for the frequency array of its own cell sizes.  Raises
+    :class:`GridError` for a grid that is not square, a symbol outside [k]
+    or a count that is not a non-negative int.
     """
-    k = array.k
-    sizes = array.frequency().entries
+    k = len(array)
+    if any(len(row) != k for row in array):
+        raise GridError("outline array must be square")
+    sizes = [[0] * k for _ in range(k)]
     row_counts = [[0] * (k + 1) for _ in range(k)]
     col_counts = [[0] * (k + 1) for _ in range(k)]
-    for row, counts in zip(array.counts, row_counts):
-        for cell, col in zip(row, col_counts):
+    for row, counts, row_sizes in zip(array, row_counts, sizes):
+        for j, (cell, col) in enumerate(zip(row, col_counts)):
             for s, c in cell.items():
+                if type(c) is not int or c < 0:
+                    raise GridError(f"count of symbol {s!r} is {c!r}, not a "
+                                    "non-negative int")
+                if type(s) is not int or not 1 <= s <= k:
+                    raise GridError(f"cell symbol outside [{k}]: {s!r}")
                 counts[s] += c
                 col[s] += c
+                row_sizes[j] += c
     problems = []
     for i in range(1, k + 1):
         for l in range(1, k + 1):
@@ -101,30 +77,35 @@ def validate_outline_array(array: OutlineArray) -> list[str]:
     return problems
 
 
-def array_from_outline_square(outline: OutlineRectangle,
-                              drop_diagonal: bool = False) -> OutlineArray:
-    """View an outline square as an outline array, optionally emptying the
-    diagonal cells (each holds exactly the h_i^2 copies of its own symbol,
-    so removal keeps the count conditions consistent)."""
+def array_from_outline_square(outline: OutlineRectangle) -> list[list[Counts]]:
+    """The body of an outline square: its cells with the diagonal emptied.
+
+    Each diagonal cell holds exactly the h_i^2 copies of its own symbol, so
+    the body is still an outline array; the other cells are the outline's
+    own (unchanged) maps.
+    """
     if not outline.is_square_form():
         raise PreconditionError("outline is not an outline square")
     cells = [list(row) for row in outline.counts]
-    if drop_diagonal:
-        for i in range(len(cells)):
-            cells[i][i] = {}
-    return OutlineArray(cells)
+    for i, row in enumerate(cells):
+        row[i] = {}
+    return cells
 
 
-def square_from_array(array: OutlineArray, partition: Partition,
-                      ) -> OutlineRectangle:
+def square_from_array(array: Grid, partition: Partition) -> OutlineRectangle:
     """Restore diagonal cells h_i^2 {i} and reinterpret as an outline square."""
-    if partition.k != array.k:
+    k = partition.k
+    if len(array) != k:
         raise PreconditionError("partition order does not match the array")
-    cells = [list(row) for row in array.counts]
-    for i in range(1, array.k + 1):
-        if cells[i - 1][i - 1]:
+    cells = []
+    for i, row in enumerate(array, start=1):
+        if len(row) != k:
+            raise GridError("outline array must be square")
+        if any(row[i - 1].values()):
             raise PreconditionError(f"diagonal cell ({i},{i}) is not empty")
-        cells[i - 1][i - 1] = {i: partition.part(i) ** 2}
+        row = list(row)
+        row[i - 1] = {i: partition.part(i) ** 2}
+        cells.append(row)
     outline = OutlineRectangle(partition, partition, partition, cells)
     bad = validate_outline(outline)
     if bad:
@@ -133,19 +114,17 @@ def square_from_array(array: OutlineArray, partition: Partition,
     return outline
 
 
-def sum_outline_arrays(first: OutlineArray, second: OutlineArray,
-                       ) -> OutlineArray:
+def sum_outline_arrays(first: Grid, second: Grid) -> list[list[Counts]]:
     """Cellwise multiset union; realizes the sum of the frequency arrays."""
-    if first.k != second.k:
+    if len(first) != len(second):
         raise PreconditionError(
-            f"order mismatch: {first.k} vs {second.k}")
-    cells = [[dict(c) for c in row] for row in first.counts]
-    _add_arrays(cells, second.counts)
-    return OutlineArray(cells)
+            f"order mismatch: {len(first)} vs {len(second)}")
+    cells = [[dict(c) for c in row] for row in first]
+    _add_arrays(cells, second)
+    return cells
 
 
-def _add_arrays(cells: list[list[Counts]],
-                other: Sequence[Sequence[Counts]]) -> None:
+def _add_arrays(cells: list[list[Counts]], other: Grid) -> None:
     """Add ``other``'s counts into the working count maps ``cells``."""
     for row, other_row in zip(cells, other):
         for cell, add in zip(row, other_row):
@@ -153,20 +132,19 @@ def _add_arrays(cells: list[list[Counts]],
                 cell[s] = cell.get(s, 0) + c
 
 
-def scale_outline_array(array: OutlineArray, copies: int) -> OutlineArray:
+def scale_outline_array(array: Grid, copies: int) -> list[list[Counts]]:
     """The cellwise sum of ``copies`` copies of ``array``."""
     if copies < 0:
         raise PreconditionError("copies must be non-negative")
-    cells = [[{s: c * copies for s, c in cell.items()} for cell in row]
-             for row in array.counts]
-    return OutlineArray(cells)
+    return [[{s: c * copies for s, c in cell.items()} if copies else {}
+             for cell in row] for row in array]
 
 
-def amalgamate_outline_array(array: OutlineArray,
-                             groups: Sequence[Iterable[int]]) -> OutlineArray:
+def amalgamate_outline_array(array: Grid, groups: Sequence[Iterable[int]],
+                             ) -> list[list[Counts]]:
     """Merge classes along a set partition of [k]; groups are ordered by
     their smallest element and symbols relabelled by group index."""
-    k = array.k
+    k = len(array)
     group_sets = [sorted(set(g)) for g in groups]
     flat = sorted(x for g in group_sets for x in g)
     if flat != list(range(1, k + 1)):
@@ -177,8 +155,7 @@ def amalgamate_outline_array(array: OutlineArray,
         for x in members:
             relabel[x] = gi
     kk = len(group_sets)
-    return OutlineArray(_amalgamate(array.counts, relabel, relabel, relabel,
-                                    (kk, kk)))
+    return _amalgamate(array, relabel, relabel, relabel, (kk, kk))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +175,8 @@ def _addon_bound_holds(m: int, h_m: int, tail: Sequence[int]) -> bool:
     return sum(tail[1:]) <= (m - 1) * h_m + (m - 2) * tail[0]
 
 
-def add_on_outline(m: int, tail: Sequence[int], h_m: int) -> OutlineArray:
+def add_on_outline(m: int, tail: Sequence[int], h_m: int,
+                   ) -> list[list[Counts]]:
     """The add-on outline array of order k = m + len(tail).
 
     Its frequency array is h_m + h_{m+1} on off-diagonal cells of the leading
@@ -230,11 +208,12 @@ def add_on_outline(m: int, tail: Sequence[int], h_m: int) -> OutlineArray:
     for share in shares:
         if len(share) > m - 1:
             raise InternalError("round-robin share exceeded m - 1 symbols")
-        _add_arrays(total, _one_share_array(m, k, share).counts)
-    return OutlineArray(total)
+        _add_arrays(total, _one_share_array(m, k, share))
+    return total
 
 
-def _one_share_array(m: int, k: int, share: Sequence[int]) -> OutlineArray:
+def _one_share_array(m: int, k: int, share: Sequence[int],
+                     ) -> list[list[Counts]]:
     """Outline array of one share: a realization with an order-s block and m
     singletons, amalgamated so the singletons land on classes 1..m and the
     block rows split among the share's tail classes, with the diagonal and
@@ -252,11 +231,10 @@ def _one_share_array(m: int, k: int, share: Sequence[int]) -> OutlineArray:
         row[i] = {}
         if i >= m:  # the block-on-block corner
             row[m:] = [{} for _ in range(m, k)]
-    array = OutlineArray(cells)
-    bad = validate_outline_array(array)
+    bad = validate_outline_array(cells)
     if bad:
         raise InternalError(f"share array invalid: {bad[0]}")
-    return array
+    return cells
 
 
 def add_on_step(outline: OutlineRectangle, target: Partition, level: int,
@@ -264,20 +242,20 @@ def add_on_step(outline: OutlineRectangle, target: Partition, level: int,
     """One step of the induction: from an outline square for
     (h_{l+1}^{l+1} h_{l+2} .. h_k) to one for ``target`` = (h_l^l h_{l+1}
     .. h_k), l = ``level``, by adding (h_l - h_{l+1}) add-on arrays to its
-    off-diagonal body."""
+    off-diagonal body.  The combined cells are normalized once, by the
+    outline square :func:`square_from_array` builds."""
     parts = target.parts
     copies = parts[level - 1] - parts[level]
-    body = array_from_outline_square(outline, drop_diagonal=True)
+    body = array_from_outline_square(outline)
     addon = add_on_outline(level, parts[level:], parts[level - 1])
     combined = sum_outline_arrays(body, scale_outline_array(addon, copies))
-    freq = combined.frequency()
-    for i in range(1, target.k + 1):
-        for j in range(1, target.k + 1):
-            want = 0 if i == j else target.part(i) * target.part(j)
-            if freq.at(i, j) != want:
+    for i, (row, h_i) in enumerate(zip(combined, parts), start=1):
+        for j, (cell, h_j) in enumerate(zip(row, parts), start=1):
+            size = sum(cell.values())
+            want = 0 if i == j else h_i * h_j
+            if size != want:
                 raise InternalError(
-                    f"combined array has F({i},{j}) = {freq.at(i, j)}, "
-                    f"wanted {want}")
+                    f"combined array has F({i},{j}) = {size}, wanted {want}")
     return square_from_array(combined, target)
 
 

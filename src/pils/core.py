@@ -3,15 +3,16 @@
 A realization of an integer partition (h1 >= h2 >= ... >= hk) is a latin
 square of order n = sum(hi) carrying pairwise disjoint subsquares of orders
 h1, ..., hk.  This module holds the value types shared by the whole package
-(partitions, squares, outline rectangles, frequency arrays, certificates),
-the verification routines for them, the reduction (amalgamation) of a square
-modulo a partition triple, and the existence predicate assembled from the
-known characterizations.
+(partitions, squares, outline rectangles, certificates), the verification
+routines for them, the reduction (amalgamation) of a square modulo a
+partition triple, and the existence predicate assembled from the known
+characterizations.
 
 Conventions: rows, columns and symbols are 1-based everywhere in the public
 API.  An outline cell is stored as a ``{symbol: count}`` map without zero
 counts, the form in which the outline conditions are stated; ``cell(i, j)``
 and ``.cells`` spell the same multisets out as sorted tuples for reading.
+The outline arrays of :mod:`pils.compose` are plain grids of such maps.
 """
 
 from __future__ import annotations
@@ -526,31 +527,6 @@ def reduce(square: LatinSquare, row_partition: Partition,
     if bad:
         raise InternalError(f"reduction is not an outline rectangle: {bad[0]}")
     return outline
-
-
-# ---------------------------------------------------------------------------
-# Frequency arrays
-
-
-@dataclass(frozen=True)
-class FrequencyArray:
-    """A k x k array of non-negative integers."""
-
-    k: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __init__(self, entries: Sequence[Sequence[int]]):
-        k = len(entries)
-        if any(len(row) != k for row in entries):
-            raise GridError("frequency array must be square")
-        if any(v < 0 for row in entries for v in row):
-            raise GridError("frequency array entries must be non-negative")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "entries",
-                           tuple(tuple(int(v) for v in row) for row in entries))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i - 1][j - 1]
 
 
 # ---------------------------------------------------------------------------

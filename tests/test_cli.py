@@ -121,6 +121,15 @@ class TestVerify:
         path.write_text("1 2\n1 2\n")
         assert main(["verify", str(path), "1,1"]) == 1
 
+    @pytest.mark.parametrize("text", ["1\n" * 2001, " ".join(["1"] * 2001)],
+                             ids=["2001-rows", "2001-columns"])
+    def test_grid_above_order_cap_is_usage_error(self, text, tmp_path,
+                                                 capsys):
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        assert main(["verify", str(path), "2000"]) == 64
+        assert "limit 2000" in capsys.readouterr().err
+
 
 class TestReduceLift:
     def test_reduce_matches_reference(self, grid_file, capsys):
@@ -144,6 +153,20 @@ class TestReduceLift:
         assert main(["reduce", str(lifted), "1,1,1,2,2,1,1", "3,2,2,1,1",
                      "3,1,1,1,1,1,1"]) == 0
         assert json.loads(capsys.readouterr().out) == json.loads(outline_json)
+
+    @pytest.mark.parametrize("text", ["1\n" * 2001, " ".join(["1"] * 2001)],
+                             ids=["2001-rows", "2001-columns"])
+    def test_reduce_grid_above_order_cap_is_usage_error(self, text, tmp_path,
+                                                        capsys):
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        assert main(["reduce", str(path), "2000", "2000", "2000"]) == 64
+        assert "limit 2000" in capsys.readouterr().err
+
+    def test_reduce_parses_partitions_before_reading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        assert main(["reduce", missing, "3,2,2,1,1", "0,1", "9"]) == 64
+        assert "must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("data", [
         {"rows": [2], "cols": [2], "syms": [2], "cells": [[{"1": "4"}]]},

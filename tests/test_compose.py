@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from pils import (
-    OutlineArray,
+    GridError,
     Partition,
     PreconditionError,
     add_on_outline,
@@ -24,37 +25,54 @@ from pils.compose import (
 
 
 def empty_array(k):
-    return OutlineArray([[() for _ in range(k)] for _ in range(k)])
+    return [[{} for _ in range(k)] for _ in range(k)]
+
+
+def sizes(array, i, j):
+    """F(i, j): the size of cell (i, j) of a grid (1-based)."""
+    return sum(array[i - 1][j - 1].values())
+
+
+def frozen(array):
+    """A deep copy of a grid's cells, dict order included."""
+    return [[list(cell.items()) for cell in row] for row in array]
 
 
 class TestSumAndAmalgamate:
     def test_empty_is_identity(self):
         sq, _ = ls_uniform(2, 3)
         P = Partition([2, 2, 2])
-        arr = array_from_outline_square(reduce(sq, P, P, P))
-        assert sum_outline_arrays(arr, empty_array(3)).cells == arr.cells
+        arr = reduce(sq, P, P, P).counts
+        before = frozen(arr)
+        assert sum_outline_arrays(arr, empty_array(3)) == \
+            [list(row) for row in arr]
+        assert frozen(arr) == before
 
     def test_doubling(self):
         sq, _ = ls_uniform(2, 3)
         P = Partition([2, 2, 2])
-        arr = array_from_outline_square(reduce(sq, P, P, P))
+        arr = reduce(sq, P, P, P).counts
+        before = frozen(arr)
         double = sum_outline_arrays(arr, arr)
-        assert double.cells == scale_outline_array(arr, 2).cells
+        assert double == scale_outline_array(arr, 2)
         assert validate_outline_array(double) == []
+        assert frozen(arr) == before
 
     def test_zeroed_diagonal_plus_diagonal_array(self):
         sq, _ = ls_uniform(2, 3)
         P = Partition([2, 2, 2])
-        body = array_from_outline_square(reduce(sq, P, P, P),
-                                         drop_diagonal=True)
-        diag = OutlineArray([[(i,) * 4 if i == j else () for j in (1, 2, 3)]
-                             for i in (1, 2, 3)])
+        outline = reduce(sq, P, P, P)
+        body = array_from_outline_square(outline)
+        assert all(body[i][i] == {} for i in range(3))
+        assert outline.cell(1, 1) == (1,) * 4
+        diag = [[{i: 4} if i == j else {} for j in (1, 2, 3)]
+                for i in (1, 2, 3)]
         total = sum_outline_arrays(body, diag)
-        freq = total.frequency()
         for i in range(1, 4):
             for j in range(1, 4):
-                assert freq.at(i, j) == 4
+                assert sizes(total, i, j) == 4
         assert validate_outline_array(total) == []
+        assert total == [list(row) for row in outline.counts]
 
     def test_order_mismatch(self):
         with pytest.raises(PreconditionError):
@@ -63,16 +81,16 @@ class TestSumAndAmalgamate:
     def test_amalgamate_singletons_is_identity(self):
         sq, _ = ls_uniform(2, 3)
         P = Partition([2, 2, 2])
-        arr = array_from_outline_square(reduce(sq, P, P, P))
+        arr = reduce(sq, P, P, P).counts
         out = amalgamate_outline_array(arr, [[1], [2], [3]])
-        assert out.cells == arr.cells
+        assert out == [list(row) for row in arr]
 
     def test_amalgamate_everything(self):
         sq, _ = ls_uniform(2, 3)
         P = Partition([2, 2, 2])
-        arr = array_from_outline_square(reduce(sq, P, P, P))
+        arr = reduce(sq, P, P, P).counts
         out = amalgamate_outline_array(arr, [[1, 2, 3]])
-        assert out.k == 1 and out.cell(1, 1) == (1,) * 36
+        assert out == [[{1: 36}]]
 
     def test_amalgamate_revalidates_against_summed_frequency(self):
         from reference import REFERENCE_PARTITION, REFERENCE_SQUARE
@@ -80,14 +98,13 @@ class TestSumAndAmalgamate:
 
         P = Partition(REFERENCE_PARTITION)
         sq = LatinSquare(REFERENCE_SQUARE)
-        arr = array_from_outline_square(reduce(sq, P, P, P))
+        arr = reduce(sq, P, P, P).counts
         groups = [[1], [2, 3], [4], [5]]
         out = amalgamate_outline_array(arr, groups)
+        assert len(out) == 4
         assert validate_outline_array(out) == []
-        old = arr.frequency()
-        new = out.frequency()
-        assert new.at(2, 2) == sum(old.at(x, y) for x in (2, 3)
-                                   for y in (2, 3))
+        assert sizes(out, 2, 2) == sum(sizes(arr, x, y) for x in (2, 3)
+                                       for y in (2, 3))
 
     def test_sum_commutes_with_amalgamation(self):
         rng = random.Random(23)
@@ -97,13 +114,57 @@ class TestSumAndAmalgamate:
         arrays = []
         for _ in range(2):
             sq = random_latin_square(6, rng)
-            arrays.append(array_from_outline_square(reduce(sq, P, P, P)))
+            arrays.append(reduce(sq, P, P, P).counts)
         groups = [[1, 2], [3], [4]]
         a, b = arrays
         first = amalgamate_outline_array(sum_outline_arrays(a, b), groups)
         second = sum_outline_arrays(amalgamate_outline_array(a, groups),
                                     amalgamate_outline_array(b, groups))
-        assert first.cells == second.cells
+        assert first == second
+
+    def test_amalgamate_rejects_a_non_partition(self):
+        with pytest.raises(PreconditionError):
+            amalgamate_outline_array(empty_array(3), [[1, 2], [2, 3]])
+
+
+class TestValidateAndScale:
+    def test_non_square_grid_rejected(self):
+        with pytest.raises(GridError):
+            validate_outline_array([[{}, {}], [{}]])
+
+    @pytest.mark.parametrize("symbol", [0, 3, -1, "1", 1.0])
+    def test_symbol_outside_k_rejected(self, symbol):
+        grid = empty_array(2)
+        grid[0][1] = {symbol: 1}
+        with pytest.raises(GridError):
+            validate_outline_array(grid)
+
+    @pytest.mark.parametrize("count", [-1, 1.0, "2", True, None])
+    def test_bad_count_rejected(self, count):
+        grid = empty_array(2)
+        grid[1][0] = {1: count}
+        with pytest.raises(GridError):
+            validate_outline_array(grid)
+
+    def test_violations_are_reported(self):
+        sq, _ = ls_uniform(2, 3)
+        P = Partition([2, 2, 2])
+        grid = [list(row) for row in reduce(sq, P, P, P).counts]
+        assert validate_outline_array(grid) == []
+        grid[0][0] = {2: 4}  # symbol 1 moved out of row 1 and column 1
+        problems = validate_outline_array(grid)
+        assert "row 1: symbol 1 occurs 0, F(1,1)=4" in problems
+        assert "column 1: symbol 2 occurs 8, F(2,1)=4" in problems
+
+    def test_scale_by_zero_is_empty(self):
+        arr = add_on_outline(3, [2, 2, 1], 2)
+        before = frozen(arr)
+        assert scale_outline_array(arr, 0) == empty_array(6)
+        assert frozen(arr) == before
+
+    def test_scale_negative_rejected(self):
+        with pytest.raises(PreconditionError):
+            scale_outline_array(empty_array(2), -1)
 
 
 class TestAddOn:
@@ -111,30 +172,29 @@ class TestAddOn:
         # m = 3, parts beyond the corner: 2, 2, 1
         arr = add_on_outline(3, [2, 2, 1], 2)
         assert validate_outline_array(arr) == []
-        freq = arr.frequency()
         for i in range(1, 4):
             for j in range(1, 4):
-                assert freq.at(i, j) == (0 if i == j else 4)
-        assert freq.at(1, 4) == 2 and freq.at(1, 5) == 2 and freq.at(1, 6) == 1
-        assert freq.at(4, 1) == 2 and freq.at(6, 2) == 1
-        assert freq.at(4, 5) == 0
+                assert sizes(arr, i, j) == (0 if i == j else 4)
+        assert sizes(arr, 1, 4) == 2 and sizes(arr, 1, 5) == 2
+        assert sizes(arr, 1, 6) == 1
+        assert sizes(arr, 4, 1) == 2 and sizes(arr, 6, 2) == 1
+        assert sizes(arr, 4, 5) == 0
 
     def test_single_symbol_tail(self):
         arr = add_on_outline(3, [2], 3)
-        freq = arr.frequency()
-        assert arr.k == 4
+        assert len(arr) == 4 and all(len(row) == 4 for row in arr)
         for i in range(1, 4):
             for j in range(1, 4):
-                assert freq.at(i, j) == (0 if i == j else 5)
-            assert freq.at(i, 4) == 2 and freq.at(4, i) == 2
+                assert sizes(arr, i, j) == (0 if i == j else 5)
+            assert sizes(arr, i, 4) == 2 and sizes(arr, 4, i) == 2
 
     def test_mostly_empty_shares(self):
         # a single tail symbol leaves most shares empty; those contribute
         # the reduction of a plain idempotent square, diagonal dropped
         arr = add_on_outline(3, [1], 3)
         assert validate_outline_array(arr) == []
-        freq = arr.frequency()
-        assert freq.at(1, 2) == 4 and freq.at(1, 4) == 1 and freq.at(4, 4) == 0
+        assert sizes(arr, 1, 2) == 4 and sizes(arr, 1, 4) == 1
+        assert sizes(arr, 4, 4) == 0
 
     def test_too_heavy_tail_rejected(self):
         with pytest.raises(PreconditionError):
@@ -172,6 +232,57 @@ class TestBlowUp:
     def test_square_from_array_round_trip(self):
         P = Partition([2, 2, 2, 2, 2, 1, 1, 1, 1, 1])
         outline = odd_r_outline(P)
-        arr = array_from_outline_square(outline, drop_diagonal=True)
+        arr = array_from_outline_square(outline)
         back = square_from_array(arr, P)
         assert back.cells == outline.cells
+        assert back.counts == outline.counts
+
+    def test_square_from_array_needs_an_empty_diagonal(self):
+        P = Partition([2, 2, 2, 2, 2, 1, 1, 1, 1, 1])
+        outline = odd_r_outline(P)
+        with pytest.raises(PreconditionError):
+            square_from_array(outline.counts, P)
+        with pytest.raises(PreconditionError):
+            square_from_array(array_from_outline_square(outline),
+                              Partition([5, 5, 5]))
+
+
+# sha256 over every add-on array and every add-on step outline that
+# construct_main builds at n <= 24 (each cell as its ``list(items())``, so
+# dict order is pinned too)
+ADD_ON_DIGEST = \
+    "f1fb6eb36c908dba99ad4b8347ef712de78f314dee78f2b68a8d7ce49a18b1b2"
+
+
+def test_add_on_steps_are_pinned(monkeypatch):
+    from pils import base, compose, engine
+    from pils.oracle import enumerate_partitions
+
+    digest = hashlib.sha256()
+    built = {"arrays": 0, "steps": 0}
+    add_on_outline_ = compose.add_on_outline
+    add_on_step_ = compose.add_on_step
+
+    def traced_outline(m, tail, h_m):
+        array = add_on_outline_(m, tail, h_m)
+        built["arrays"] += 1
+        digest.update(repr(("array", m, list(tail), h_m,
+                            frozen(array))).encode())
+        return array
+
+    def traced_step(outline, target, level):
+        out = add_on_step_(outline, target, level)
+        built["steps"] += 1
+        digest.update(repr(("step", target.parts, level,
+                            frozen(out.counts))).encode())
+        return out
+
+    monkeypatch.setattr(compose, "add_on_outline", traced_outline)
+    monkeypatch.setattr(engine, "add_on_step", traced_step)
+    monkeypatch.setattr(base, "add_on_step", traced_step)
+    for n in range(3, 25):
+        for P in enumerate_partitions(n):
+            if P.k >= 3 and P.part(1) == P.part(3):
+                engine.construct_main(P)
+    assert built == {"arrays": 756, "steps": 756}
+    assert digest.hexdigest() == ADD_ON_DIGEST
