@@ -249,13 +249,16 @@ def _cmd_ils(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--verbose", action="store_true")
     parser = argparse.ArgumentParser(
         prog="pils",
-        parents=[common],
         description="construct and verify latin squares with prescribed "
                     "disjoint subsquares")
+    parser.add_argument("--verbose", action="store_true")
+    # --verbose is accepted after the command too; there it has no default,
+    # so leaving it out keeps what the top level parsed
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--verbose", action="store_true",
+                        default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=lambda **kw: argparse.ArgumentParser(
                                     parents=[common], **kw))
@@ -298,10 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.  May be called repeatedly
+    in one process: the parser is built on the first call and reused, and
+    every call parses into a fresh namespace."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
     try:

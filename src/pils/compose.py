@@ -114,30 +114,29 @@ def square_from_array(array: Grid, partition: Partition) -> OutlineRectangle:
     return outline
 
 
-def sum_outline_arrays(first: Grid, second: Grid) -> list[list[Counts]]:
-    """Cellwise multiset union; realizes the sum of the frequency arrays."""
+def sum_outline_arrays(first: Grid, second: Grid, copies: int = 1,
+                       ) -> list[list[Counts]]:
+    """Cellwise multiset union of ``first`` and ``copies`` copies of
+    ``second``; realizes the sum of the frequency arrays."""
     if len(first) != len(second):
         raise PreconditionError(
             f"order mismatch: {len(first)} vs {len(second)}")
+    if copies < 0:
+        raise PreconditionError("copies must be non-negative")
     cells = [[dict(c) for c in row] for row in first]
-    _add_arrays(cells, second)
+    if copies:
+        _add_arrays(cells, second, copies)
     return cells
 
 
-def _add_arrays(cells: list[list[Counts]], other: Grid) -> None:
-    """Add ``other``'s counts into the working count maps ``cells``."""
+def _add_arrays(cells: list[list[Counts]], other: Grid, copies: int,
+                ) -> None:
+    """Add ``copies`` times ``other``'s counts into the working count maps
+    ``cells``."""
     for row, other_row in zip(cells, other):
         for cell, add in zip(row, other_row):
             for s, c in add.items():
-                cell[s] = cell.get(s, 0) + c
-
-
-def scale_outline_array(array: Grid, copies: int) -> list[list[Counts]]:
-    """The cellwise sum of ``copies`` copies of ``array``."""
-    if copies < 0:
-        raise PreconditionError("copies must be non-negative")
-    return [[{s: c * copies for s, c in cell.items()} if copies else {}
-             for cell in row] for row in array]
+                cell[s] = cell.get(s, 0) + c * copies
 
 
 def amalgamate_outline_array(array: Grid, groups: Sequence[Iterable[int]],
@@ -183,7 +182,9 @@ def add_on_outline(m: int, tail: Sequence[int], h_m: int,
     m x m corner, h_j on cells (i <= m, j > m) and transposed, and zero
     elsewhere.  Built as the sum of h_m + h_{m+1} arrays, each obtained from
     a realization with m singleton blocks and one block holding a share of
-    the tail symbol multiset.
+    the tail symbol multiset.  Equal shares give equal arrays, so each
+    distinct share is built (and validated) once and added with its
+    multiplicity.
     """
     if m < 3:
         raise PreconditionError("add-on arrays need m >= 3")
@@ -202,13 +203,18 @@ def add_on_outline(m: int, tail: Sequence[int], h_m: int,
     symbols: list[int] = []
     for offset, h in enumerate(tail):
         symbols.extend([m + 1 + offset] * h)
-    shares = _deal_round_robin(symbols, group_count)
-
-    total: list[list[Counts]] = [[{} for _ in range(k)] for _ in range(k)]
-    for share in shares:
+    # distinct shares in order of first occurrence, so every cell's symbols
+    # keep the order a share-by-share sum gives them
+    multiplicity: dict[tuple[int, ...], int] = {}
+    for share in _deal_round_robin(symbols, group_count):
         if len(share) > m - 1:
             raise InternalError("round-robin share exceeded m - 1 symbols")
-        _add_arrays(total, _one_share_array(m, k, share))
+        key = tuple(share)
+        multiplicity[key] = multiplicity.get(key, 0) + 1
+
+    total: list[list[Counts]] = [[{} for _ in range(k)] for _ in range(k)]
+    for share, copies in multiplicity.items():
+        _add_arrays(total, _one_share_array(m, k, share), copies)
     return total
 
 
@@ -248,7 +254,7 @@ def add_on_step(outline: OutlineRectangle, target: Partition, level: int,
     copies = parts[level - 1] - parts[level]
     body = array_from_outline_square(outline)
     addon = add_on_outline(level, parts[level:], parts[level - 1])
-    combined = sum_outline_arrays(body, scale_outline_array(addon, copies))
+    combined = sum_outline_arrays(body, addon, copies)
     for i, (row, h_i) in enumerate(zip(combined, parts), start=1):
         for j, (cell, h_j) in enumerate(zip(row, parts), start=1):
             size = sum(cell.values())

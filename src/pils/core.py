@@ -471,33 +471,32 @@ def validate_outline(outline: OutlineRectangle) -> list[OutlineViolation]:
     An empty report means the array is a valid outline rectangle for its
     partition triple.
     """
-    P, Q, R = (outline.row_partition, outline.col_partition,
-               outline.sym_partition)
-    t = R.k
+    p_parts, q_parts, r_parts = (outline.row_partition.parts,
+                                 outline.col_partition.parts,
+                                 outline.sym_partition.parts)
+    t = len(r_parts)
     violations: list[OutlineViolation] = []
-    col_counts = [[0] * (t + 1) for _ in range(Q.k)]
-    for i, row in enumerate(outline.counts, start=1):
+    col_counts = [[0] * (t + 1) for _ in q_parts]
+    for i, (row, h_i) in enumerate(zip(outline.counts, p_parts), start=1):
         row_counts = [0] * (t + 1)
-        for j, (cell, col) in enumerate(zip(row, col_counts), start=1):
-            expected = P.part(i) * Q.part(j)
+        for j, (cell, col, h_j) in enumerate(
+                zip(row, col_counts, q_parts), start=1):
             size = sum(cell.values())
-            if size != expected:
+            if size != h_i * h_j:
                 violations.append(OutlineViolation(
-                    "cell-size", (i, j), None, expected, size))
+                    "cell-size", (i, j), None, h_i * h_j, size))
             for s, c in cell.items():
                 row_counts[s] += c
                 col[s] += c
-        for l in range(1, t + 1):
-            expected = P.part(i) * R.part(l)
-            if row_counts[l] != expected:
+        for l, h_l in enumerate(r_parts, start=1):
+            if row_counts[l] != h_i * h_l:
                 violations.append(OutlineViolation(
-                    "row-count", (i,), l, expected, row_counts[l]))
-    for j, col in enumerate(col_counts, start=1):
-        for l in range(1, t + 1):
-            expected = Q.part(j) * R.part(l)
-            if col[l] != expected:
+                    "row-count", (i,), l, h_i * h_l, row_counts[l]))
+    for j, (col, h_j) in enumerate(zip(col_counts, q_parts), start=1):
+        for l, h_l in enumerate(r_parts, start=1):
+            if col[l] != h_j * h_l:
                 violations.append(OutlineViolation(
-                    "col-count", (j,), l, expected, col[l]))
+                    "col-count", (j,), l, h_j * h_l, col[l]))
     return violations
 
 

@@ -9,11 +9,17 @@ only ever reported after a full exhaustion.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .core import LatinSquare, Partition, PreconditionError, verify_realization
 
 DEFAULT_BUDGET = 10 ** 8
+
+# Frames of the recursion limit left to the search's callers (and to a
+# signal handler or tracer running beneath its deepest call); the rest
+# bounds the search's depth, one frame per free cell.
+_CALLER_FRAMES = 50
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,14 @@ def find_realization_bruteforce(partition: Partition,
     parts = partition.parts
     n = partition.n
     k = partition.k
+    # fill() below takes one Python frame per free cell, and there are
+    # fewer free cells than n^2
+    room = sys.getrecursionlimit() - _CALLER_FRAMES
+    free_cells = n * n - sum(p * p for p in parts) if n * n > room else 0
+    if free_cells > room:
+        raise PreconditionError(
+            f"{free_cells} free cells exceed the search's recursion depth "
+            f"of {room}")
     if k == 1:
         square = LatinSquare([[(x + y) % n + 1 for y in range(n)]
                               for x in range(n)])

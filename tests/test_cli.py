@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from pils.cli import main, outline_from_json, outline_to_json, parse_partition
+from pils import cli
+from pils.cli import (
+    build_parser,
+    main,
+    outline_from_json,
+    outline_to_json,
+    parse_partition,
+)
 from reference import (
     REDUCTION_COLS,
     REDUCTION_ROWS,
@@ -109,6 +116,69 @@ class TestConstruct:
         assert payload["trace"]["steps"]
 
 
+class TestVerbose:
+    @pytest.mark.parametrize("argv", [
+        ["--verbose", "construct", "3^3"],
+        ["construct", "--verbose", "3^3"],
+        ["construct", "3^3", "--verbose"],
+    ], ids=["before-command", "after-command", "after-partition"])
+    def test_either_position_turns_verbose_on(self, argv, capsys):
+        assert build_parser().parse_args(argv).verbose is True
+        assert main(argv + ["--format", "csv"]) == 0
+        assert "built and re-verified" in capsys.readouterr().err
+
+    def test_off_by_default(self, capsys):
+        assert build_parser().parse_args(["construct", "3^3"]).verbose is False
+        assert main(["construct", "3^3", "--format", "csv"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call may see another
+    call's flags."""
+
+    def test_built_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counting_build_parser():
+            calls.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        assert main(["exists", "2^3"]) == 0
+        assert main(["construct", "2^3", "--format", "csv"]) == 0
+        assert main(["exists", "3,x"]) == 64
+        assert calls == [1]
+
+    def test_trace_does_not_leak(self, capsys):
+        assert main(["construct", "3,3,3,2,1", "--trace"]) == 0
+        assert "trace" in json.loads(capsys.readouterr().out)
+        assert main(["construct", "3,3,3,2,1"]) == 0
+        assert "trace" not in json.loads(capsys.readouterr().out)
+
+    def test_format_does_not_leak(self, capsys):
+        assert main(["construct", "2^3", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[0].count(",") == 5
+        assert main(["construct", "2^3"]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 6
+
+    def test_verbose_does_not_leak(self, capsys):
+        assert main(["--verbose", "construct", "2^3"]) == 0
+        assert "built and re-verified" in capsys.readouterr().err
+        assert main(["construct", "2^3"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert main(["construct"]) == 64
+        assert main(["construct", "2^3", "--format", "bogus"]) == 64
+        capsys.readouterr()
+        assert main(["construct", "2^3"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["order"] == 6
+        assert captured.err == ""
+
+
 class TestVerify:
     def test_reference_square(self, grid_file, capsys):
         assert main(["verify", grid_file, "3,2,2,1,1"]) == 0
@@ -207,6 +277,11 @@ class TestOracleCommand:
 
     def test_budget(self, capsys):
         assert main(["oracle", "3,3,3", "--budget", "2"]) == 2
+
+    @pytest.mark.parametrize("partition", ["1^1000", "1^2000"])
+    def test_beyond_the_search_depth_is_usage_error(self, partition, capsys):
+        assert main(["oracle", partition]) == 64
+        assert "recursion depth" in capsys.readouterr().err
 
     @pytest.mark.parametrize("partition, budget", [("3,3,3", "-1"),
                                                    ("2,2,1,1", "0")])

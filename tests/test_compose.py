@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pils import (
     GridError,
@@ -17,11 +18,22 @@ from pils import (
     validate_outline,
 )
 from pils.compose import (
+    _one_share_array,
     array_from_outline_square,
-    scale_outline_array,
     square_from_array,
     validate_outline_array,
 )
+
+
+@st.composite
+def addon_inputs(draw):
+    """(m, tail, h_m) within the add-on bound."""
+    m = draw(st.integers(3, 7))
+    h_m = draw(st.integers(1, 4))
+    tail = sorted(draw(st.lists(st.integers(1, h_m), min_size=1,
+                                max_size=6)), reverse=True)
+    assume(sum(tail[1:]) <= (m - 1) * h_m + (m - 2) * tail[0])
+    return m, tail, h_m
 
 
 def empty_array(k):
@@ -54,7 +66,7 @@ class TestSumAndAmalgamate:
         arr = reduce(sq, P, P, P).counts
         before = frozen(arr)
         double = sum_outline_arrays(arr, arr)
-        assert double == scale_outline_array(arr, 2)
+        assert double == sum_outline_arrays(empty_array(3), arr, 2)
         assert validate_outline_array(double) == []
         assert frozen(arr) == before
 
@@ -159,12 +171,12 @@ class TestValidateAndScale:
     def test_scale_by_zero_is_empty(self):
         arr = add_on_outline(3, [2, 2, 1], 2)
         before = frozen(arr)
-        assert scale_outline_array(arr, 0) == empty_array(6)
+        assert sum_outline_arrays(empty_array(6), arr, 0) == empty_array(6)
         assert frozen(arr) == before
 
     def test_scale_negative_rejected(self):
         with pytest.raises(PreconditionError):
-            scale_outline_array(empty_array(2), -1)
+            sum_outline_arrays(empty_array(2), empty_array(2), -1)
 
 
 class TestAddOn:
@@ -203,6 +215,22 @@ class TestAddOn:
     def test_m_below_three_rejected(self):
         with pytest.raises(PreconditionError):
             add_on_outline(2, [1], 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(args=addon_inputs())
+    def test_equals_the_share_by_share_sum(self, args):
+        # the reference builds one array per round-robin share, repeats
+        # included, and sums them cellwise in dealing order
+        m, tail, h_m = args
+        k = m + len(tail)
+        groups = h_m + tail[0]
+        symbols = [m + 1 + offset
+                   for offset, h in enumerate(tail) for _ in range(h)]
+        total = empty_array(k)
+        for g in range(groups):
+            share = symbols[g::groups]
+            total = sum_outline_arrays(total, _one_share_array(m, k, share))
+        assert frozen(add_on_outline(m, tail, h_m)) == frozen(total)
 
 
 class TestBlowUp:

@@ -19,7 +19,7 @@ from pils import (
     verify_realization,
 )
 from pils.circulant import _circulant_labels
-from pils.core import _amalgamate, _amalgamate_labels
+from pils.core import OutlineViolation, _amalgamate, _amalgamate_labels
 from reference import (
     REDUCTION_COLS,
     REDUCTION_ROWS,
@@ -221,6 +221,68 @@ class TestValidateOutline:
         empty = Partition([])
         assert validate_outline(OutlineRectangle(empty, empty, empty, [])) \
             == []
+
+    @staticmethod
+    def _violations_by_definition(outline):
+        """The outline conditions checked one by one, reading part sizes
+        through Partition.part(), in validate_outline's report order."""
+        P, Q, R = (outline.row_partition, outline.col_partition,
+                   outline.sym_partition)
+        out = []
+        for i in range(1, P.k + 1):
+            for j in range(1, Q.k + 1):
+                size = len(outline.cell(i, j))
+                if size != P.part(i) * Q.part(j):
+                    out.append(OutlineViolation(
+                        "cell-size", (i, j), None, P.part(i) * Q.part(j),
+                        size))
+            for l in range(1, R.k + 1):
+                got = sum(outline.cell(i, j).count(l)
+                          for j in range(1, Q.k + 1))
+                if got != P.part(i) * R.part(l):
+                    out.append(OutlineViolation(
+                        "row-count", (i,), l, P.part(i) * R.part(l), got))
+        for j in range(1, Q.k + 1):
+            for l in range(1, R.k + 1):
+                got = sum(outline.cell(i, j).count(l)
+                          for i in range(1, P.k + 1))
+                if got != Q.part(j) * R.part(l):
+                    out.append(OutlineViolation(
+                        "col-count", (j,), l, Q.part(j) * R.part(l), got))
+        return out
+
+    @pytest.mark.parametrize("edits, kinds", [
+        # one more symbol in cell (1,1): its size, row 1 and column 1
+        ({(1, 1): (1, 1, 1, 2)}, {"cell-size", "row-count", "col-count"}),
+        # symbols 2 and 3 swapped between cells (5,4) and (5,5) of one row
+        ({(5, 4): (1, 3), (5, 5): (1, 2)}, {"col-count"}),
+        # symbols 7 and 4 swapped between cells (1,4) and (2,4) of one column
+        ({(1, 4): (4,), (2, 4): (7,)}, {"row-count"}),
+    ], ids=["cell-size", "col-count", "row-count"])
+    def test_violations_match_the_definition(self, edits, kinds):
+        cells = [list(row) for row in REFERENCE_OUTLINE_CELLS]
+        for (i, j), cell in edits.items():
+            cells[i - 1][j - 1] = cell
+        outline = OutlineRectangle(
+            Partition(REDUCTION_ROWS), Partition(REDUCTION_COLS),
+            Partition(REDUCTION_SYMS), cells)
+        bad = validate_outline(outline)
+        assert bad == self._violations_by_definition(outline)
+        assert {v.kind for v in bad} == kinds
+
+    def test_random_corruptions_match_the_definition(self):
+        rng = random.Random(16)
+        for _ in range(50):
+            cells = [list(row) for row in REFERENCE_OUTLINE_CELLS]
+            for _ in range(rng.randint(1, 4)):
+                i, j = rng.randrange(7), rng.randrange(5)
+                cells[i][j] = tuple(rng.randint(1, 7)
+                                    for _ in range(rng.randint(0, 7)))
+            outline = OutlineRectangle(
+                Partition(REDUCTION_ROWS), Partition(REDUCTION_COLS),
+                Partition(REDUCTION_SYMS), cells)
+            assert validate_outline(outline) == \
+                self._violations_by_definition(outline)
 
 
 class TestOutlineStorage:

@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 from pils import Partition, PreconditionError, verify_realization
+from pils import oracle
 from pils.oracle import enumerate_partitions, find_realization_bruteforce
 
 
@@ -52,6 +55,32 @@ class TestBruteforce:
     def test_budget_below_one_is_rejected(self, parts, budget):
         with pytest.raises(PreconditionError, match="budget"):
             find_realization_bruteforce(Partition(parts), budget=budget)
+
+    @pytest.mark.parametrize("parts", [(1,) * 1000, (1,) * 2000, (1,) * 40,
+                                       (2,) * 30])
+    def test_beyond_the_recursion_depth_is_rejected(self, parts):
+        with pytest.raises(PreconditionError, match="recursion depth"):
+            find_realization_bruteforce(Partition(parts))
+
+    @pytest.mark.parametrize("room, status", [(72, "found"),
+                                              (71, "rejected")])
+    def test_depth_bound_follows_the_recursion_limit(self, room, status,
+                                                     monkeypatch):
+        # 1^9 has 72 free cells; the search may go as deep as the recursion
+        # limit less the frames kept for its callers
+        monkeypatch.setattr(oracle, "_CALLER_FRAMES",
+                            sys.getrecursionlimit() - room)
+        try:
+            result = find_realization_bruteforce(Partition([1] * 9)).status
+        except PreconditionError:
+            result = "rejected"
+        assert result == status
+
+    def test_every_small_partition_is_searched(self):
+        for n in range(1, 10):
+            for partition in enumerate_partitions(n):
+                result = find_realization_bruteforce(partition, budget=50)
+                assert result.status in ("found", "none", "budget-exceeded")
 
     def test_found_squares_verify(self):
         for parts in [(2, 2, 2), (2, 1, 1, 1), (2, 2, 2, 1), (3, 1, 1, 1, 1)]:
