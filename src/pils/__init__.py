@@ -27,25 +27,18 @@ from .core import (
     verify_subsquares,
 )
 from .lift import (
-    BipartiteMultigraph,
     ExtractionInfeasible,
-    extract_exact_degree_subgraph,
     lift,
     lift_labels_to_realization,
     lift_to_realization,
-    split_column,
-    split_row,
-    split_symbol,
 )
 from .circulant import (
-    back_circulant_cell,
     build_circulant_outline,
     even_r_outline,
     odd_r_outline,
 )
 from .compose import (
     add_on_outline,
-    amalgamate_outline_array,
     blow_up,
     sum_outline_arrays,
 )

@@ -49,19 +49,6 @@ def mod_mul(x: int, y: int, t: int) -> int:
     return (x * y - 1) % t + 1
 
 
-def back_circulant_cell(i: int, j: int, t: int) -> int:
-    """Cell (i, j) of the order-t back-circulant square, t odd.
-
-    The value is (i + j) * (t+1)/2 in Z_t, so every constant-difference
-    diagonal is a transversal.
-    """
-    if t % 2 == 0 or t < 1:
-        raise PreconditionError(f"order {t} must be odd and positive")
-    if not (1 <= i <= t and 1 <= j <= t):
-        raise PreconditionError(f"({i},{j}) outside [{t}]^2")
-    return mod_mul(mod_add(i, j, t), (t + 1) // 2, t)
-
-
 @dataclass(frozen=True)
 class CirculantParams:
     """Validated difference structure for the prolongation.

@@ -43,6 +43,14 @@ EX_INTERNAL = 70
 MAX_ORDER = 2000
 
 
+def _parse_int(text: str) -> int:
+    """A non-negative integer in ASCII decimal digits; ``int`` alone also
+    takes ``3_0``, ``+3``, surrounding space and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
 def parse_partition(text: str) -> Partition:
     """Accept "3,3,3,2,1" or "3^3 2 1" (whitespace-insensitive).
 
@@ -53,7 +61,7 @@ def parse_partition(text: str) -> Partition:
     order = 0
     for token in text.replace(",", " ").split():
         base, caret, exp = token.partition("^")
-        part, copies = int(base), int(exp) if caret else 1
+        part, copies = _parse_int(base), _parse_int(exp) if caret else 1
         if part < 1 or copies < 1:
             raise ValueError(f"{token!r}: parts and exponents must be positive")
         order += part * copies
@@ -78,7 +86,7 @@ def read_grid(path: str) -> LatinSquare:
                 continue
             if len(rows) == MAX_ORDER or len(values) > MAX_ORDER:
                 raise ValueError(f"grid order above the limit {MAX_ORDER}")
-            rows.append([int(v) for v in values])
+            rows.append([_parse_int(v) for v in values])
     return LatinSquare(rows)
 
 
@@ -108,7 +116,7 @@ def outline_from_json(data) -> OutlineRectangle:
                for row in data["cells"]):
         raise ValueError("outline JSON cells must be rows of "
                          "{symbol: count} objects")
-    cells = [[{int(s): cnt for s, cnt in cell.items()} for cell in row]
+    cells = [[{_parse_int(s): cnt for s, cnt in cell.items()} for cell in row]
              for row in data["cells"]]
     return OutlineRectangle(Partition(data["rows"]), Partition(data["cols"]),
                             Partition(data["syms"]), cells)
@@ -291,11 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive search for small orders")
     p.add_argument("partition")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_parse_int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("ils", help="incomplete latin square of side n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_parse_int)
     p.add_argument("partition")
     p.set_defaults(func=_cmd_ils)
     return parser

@@ -10,16 +10,15 @@ rows) of ``{symbol: count}`` maps, the form
 scales or merges those counts into fresh maps and never changes a map it
 was given.
 
-The operations here are the ones the induction needs: cellwise sums,
-amalgamation along a set partition of the classes, the add-on array built
-from small one-big-block realizations, the induction step that adds it to an
-outline square, and the blow-up that grows the three leading classes of an
-outline square from h1 to g.
+The operations here are the ones the induction needs: cellwise sums, the
+add-on array built from small one-big-block realizations, the induction step
+that adds it to an outline square, and the blow-up that grows the three
+leading classes of an outline square from h1 to g.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     Counts,
@@ -28,7 +27,6 @@ from .core import (
     OutlineRectangle,
     Partition,
     PreconditionError,
-    _amalgamate,
     _amalgamate_labels,
     validate_outline,
 )
@@ -137,24 +135,6 @@ def _add_arrays(cells: list[list[Counts]], other: Grid, copies: int,
         for cell, add in zip(row, other_row):
             for s, c in add.items():
                 cell[s] = cell.get(s, 0) + c * copies
-
-
-def amalgamate_outline_array(array: Grid, groups: Sequence[Iterable[int]],
-                             ) -> list[list[Counts]]:
-    """Merge classes along a set partition of [k]; groups are ordered by
-    their smallest element and symbols relabelled by group index."""
-    k = len(array)
-    group_sets = [sorted(set(g)) for g in groups]
-    flat = sorted(x for g in group_sets for x in g)
-    if flat != list(range(1, k + 1)):
-        raise PreconditionError(f"groups do not partition [{k}]")
-    group_sets.sort(key=lambda g: g[0])
-    relabel = [0] * (k + 1)
-    for gi, members in enumerate(group_sets, start=1):
-        for x in members:
-            relabel[x] = gi
-    kk = len(group_sets)
-    return _amalgamate(array, relabel, relabel, relabel, (kk, kk))
 
 
 # ---------------------------------------------------------------------------

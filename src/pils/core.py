@@ -180,9 +180,6 @@ class LatinSquare:
     def cell(self, r: int, c: int) -> int:
         return self.grid[r - 1][c - 1]
 
-    def transpose(self) -> "LatinSquare":
-        return LatinSquare(list(zip(*self.grid)))
-
     def __str__(self) -> str:
         w = len(str(self.order))
         return "\n".join(" ".join(f"{v:>{w}}" for v in row) for row in self.grid)
@@ -449,11 +446,6 @@ class OutlineRectangle:
     def is_square_form(self) -> bool:
         return (self.row_partition == self.col_partition ==
                 self.sym_partition)
-
-    def transpose(self) -> "OutlineRectangle":
-        return OutlineRectangle(
-            self.col_partition, self.row_partition, self.sym_partition,
-            tuple(zip(*self.counts)))
 
 
 @dataclass(frozen=True)

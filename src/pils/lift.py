@@ -26,10 +26,6 @@ amalgamating it into the outline square only for :func:`lift` to cut and
 halve every line class back down to units would redo, cell by cell, what
 the seed had already done.
 
-The public single splits share one extraction: :func:`split_row` cuts a
-row class, :func:`split_column` is the row split of the transpose and
-:func:`split_symbol` that of the conjugate (rows and symbols swapped).
-
 Splits are performed in a fixed order (row cuts, column cuts, column
 halvings, row halvings, then symbols, lowest index first) with
 deterministic solvers that read cells in symbol order, so lifting is a
@@ -44,7 +40,6 @@ h_i * h_j entries nor recounts one.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -79,39 +74,6 @@ class ExtractionInfeasible(InternalError):
         super().__init__(message)
         self.left_set = left_set
         self.right_set = right_set
-
-
-@dataclass(frozen=True)
-class BipartiteMultigraph:
-    """Edge multiplicities between two vertex classes (1-based indices)."""
-
-    left_count: int
-    right_count: int
-    multiplicities: tuple[tuple[int, ...], ...]
-
-    def __init__(self, multiplicities: Sequence[Sequence[int]],
-                 right_count: int | None = None):
-        left = len(multiplicities)
-        right = right_count if right_count is not None else (
-            len(multiplicities[0]) if left else 0)
-        if any(len(row) != right for row in multiplicities):
-            raise PreconditionError("ragged multiplicity matrix")
-        if any(m < 0 for row in multiplicities for m in row):
-            raise PreconditionError("multiplicities must be non-negative")
-        object.__setattr__(self, "left_count", left)
-        object.__setattr__(self, "right_count", right)
-        object.__setattr__(self, "multiplicities",
-                           tuple(tuple(int(m) for m in row)
-                                 for row in multiplicities))
-
-    def left_degree(self, i: int) -> int:
-        return sum(self.multiplicities[i - 1])
-
-    def right_degree(self, j: int) -> int:
-        return sum(row[j - 1] for row in self.multiplicities)
-
-    def multiplicity(self, i: int, j: int) -> int:
-        return self.multiplicities[i - 1][j - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -252,38 +214,6 @@ def _solve_extraction(mult_rows: Sequence[dict[int, int]], left_targets:
     return out
 
 
-def extract_exact_degree_subgraph(graph: BipartiteMultigraph,
-                                  left_targets: Sequence[int],
-                                  right_targets: Sequence[int],
-                                  ) -> BipartiteMultigraph:
-    """A sub-multigraph with exactly the target degree at every vertex.
-
-    Raises :class:`PreconditionError` when the targets are malformed
-    (mismatched sums, or exceeding current degrees) and
-    :class:`ExtractionInfeasible` when no such subgraph exists.
-    """
-    if len(left_targets) != graph.left_count:
-        raise PreconditionError("left target length mismatch")
-    if len(right_targets) != graph.right_count:
-        raise PreconditionError("right target length mismatch")
-    for i, t in enumerate(left_targets, start=1):
-        if t < 0 or t > graph.left_degree(i):
-            raise PreconditionError(
-                f"left target {t} outside 0..degree({i})")
-    for j, t in enumerate(right_targets, start=1):
-        if t < 0 or t > graph.right_degree(j):
-            raise PreconditionError(
-                f"right target {t} outside 0..degree({j})")
-    rows = [
-        {j: m for j, m in enumerate(row) if m > 0}
-        for row in graph.multiplicities
-    ]
-    taken = _solve_extraction(rows, list(left_targets), list(right_targets))
-    mult = [[taken[i].get(j, 0) for j in range(graph.right_count)]
-            for i in range(graph.left_count)]
-    return BipartiteMultigraph(mult, graph.right_count)
-
-
 # ---------------------------------------------------------------------------
 # Splits on outline rectangles
 
@@ -326,59 +256,6 @@ def _row_extraction(row_cells: Sequence[dict[int, int]], a: int,
         unit_cells.append(_shared(got, singles))
         rest_cells.append(_shared(rest, singles))
     return unit_cells, rest_cells
-
-
-def split_row(outline: OutlineRectangle, i: int, a: int) -> OutlineRectangle:
-    """Refine row class i into classes of sizes (a, p_i - a)."""
-    P = outline.row_partition
-    if not 1 <= i <= P.k:
-        raise PreconditionError(f"row index {i} outside [{P.k}]")
-    p = P.part(i)
-    if p < 2:
-        raise PreconditionError(f"row {i} has part 1, nothing to split")
-    if not 1 <= a < p:
-        raise PreconditionError(f"need 1 <= a < {p}, got {a}")
-    singles = [{s: 1} for s in range(outline.sym_partition.k + 1)]
-    unit, rest = _row_extraction(
-        outline.counts[i - 1], a, outline.col_partition.parts,
-        outline.sym_partition.parts, singles)
-    new_parts = P.parts[: i - 1] + (a, p - a) + P.parts[i:]
-    new_cells = outline.counts[: i - 1] + (unit, rest) + outline.counts[i:]
-    return OutlineRectangle(Partition(new_parts), outline.col_partition,
-                            outline.sym_partition, new_cells)
-
-
-def split_column(outline: OutlineRectangle, j: int, a: int) -> OutlineRectangle:
-    """Refine column class j; implemented by transposing the row split."""
-    return split_row(outline.transpose(), j, a).transpose()
-
-
-def split_symbol(outline: OutlineRectangle, l: int, a: int) -> OutlineRectangle:
-    """Refine symbol class l into classes (a, r_l - a).
-
-    Symbol class l is row class l of the conjugate outline, so this is
-    :func:`split_row` there; a bad ``l`` or ``a`` is reported as that row
-    split's precondition.
-    """
-    return _conjugate(split_row(_conjugate(outline), l, a))
-
-
-def _conjugate(outline: OutlineRectangle) -> OutlineRectangle:
-    """The outline with rows and symbols swapped: partitions (R, Q, P), and
-    cell (l, j) holds i as often as cell (i, j) of ``outline`` holds l.
-
-    The outline conditions of either are those of the other, read with
-    rows and symbols swapped.
-    """
-    cells: list[list[dict[int, int]]] = [
-        [{} for _ in outline.col_partition.parts]
-        for _ in outline.sym_partition.parts]
-    for i, row in enumerate(outline.counts, start=1):
-        for j, cell in enumerate(row):
-            for l, c in cell.items():
-                cells[l - 1][j][i] = c
-    return OutlineRectangle(outline.sym_partition, outline.col_partition,
-                            outline.row_partition, cells)
 
 
 # ---------------------------------------------------------------------------

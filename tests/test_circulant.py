@@ -7,7 +7,6 @@ from pils import (
     InternalError,
     Partition,
     PreconditionError,
-    back_circulant_cell,
     build_circulant_outline,
     even_r_outline,
     is_latin,
@@ -30,18 +29,12 @@ from pils.circulant import (
 
 
 class TestBackCirculant:
-    def test_direct_values(self):
-        assert back_circulant_cell(2, 3, 5) == 5
-        assert back_circulant_cell(1, 1, 3) == 1
-
-    def test_even_order_rejected(self):
-        with pytest.raises(PreconditionError):
-            back_circulant_cell(1, 1, 4)
-
     def test_order_five_table_is_latin_with_transversal_diagonals(self):
+        # cell (i, j) of the order-t back-circulant square, the prolonged
+        # square's body, is (i + j) * (t+1)/2 in Z_t
         t = 5
-        grid = [[back_circulant_cell(i, j, t) for j in range(1, t + 1)]
-                for i in range(1, t + 1)]
+        grid = [[mod_mul(mod_add(i, j, t), (t + 1) // 2, t)
+                 for j in range(1, t + 1)] for i in range(1, t + 1)]
         assert is_latin(grid)
         for d in range(1, t + 1):
             cells = [(i, mod_sub(i, d, t)) for i in range(1, t + 1)]

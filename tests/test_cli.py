@@ -42,6 +42,12 @@ class TestParsing:
     def test_non_positive_part_or_exponent_is_usage_error(self, text, capsys):
         assert main(["exists", text]) == 64
 
+    @pytest.mark.parametrize("text", ["3_0", "+3", "\u0663", "1^1_0",
+                                      "3,3,3,2,1\u0661", "1^+2"])
+    def test_non_ascii_decimal_integer_is_usage_error(self, text, capsys):
+        assert main(["construct", text]) == 64
+        assert "not a decimal integer" in capsys.readouterr().err
+
     def test_order_cap(self, capsys):
         assert main(["exists", "1^2000"]) == 0
         assert main(["exists", "1^2001"]) == 64
@@ -201,6 +207,15 @@ class TestVerify:
         assert "limit 2000" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("cell", ["1_0", "+1", "\u0661"])
+    def test_grid_cell_must_be_a_decimal_integer(self, cell, tmp_path,
+                                                 capsys):
+        path = tmp_path / "grid.txt"
+        path.write_text(f"{cell} 2\n2 1\n")
+        assert main(["verify", str(path), "1,1"]) == 64
+        assert "not a decimal integer" in capsys.readouterr().err
+
+
 class TestReduceLift:
     def test_reduce_matches_reference(self, grid_file, capsys):
         assert main(["reduce", grid_file, "1,1,1,2,2,1,1", "3,2,2,1,1",
@@ -246,8 +261,10 @@ class TestReduceLift:
          "cells": [[{"1": 4, "2": -1}]]},
         {"rows": [2001], "cols": [2001], "syms": [2001],
          "cells": [[{"1": 2001 * 2001}]]},
+        {"rows": [2], "cols": [2], "syms": [2], "cells": [[{"+1": 4}]]},
+        {"rows": [2], "cols": [2], "syms": [2], "cells": [[{"\u0661": 4}]]},
     ], ids=["string-count", "list-cell", "no-cells", "negative-count",
-            "order-2001"])
+            "order-2001", "signed-symbol", "non-ascii-symbol"])
     def test_malformed_outline_json_is_usage_error(self, data, tmp_path,
                                                    capsys):
         path = tmp_path / "outline.json"
@@ -290,6 +307,11 @@ class TestOracleCommand:
         assert "budget" in capsys.readouterr().err
 
 
+    def test_budget_must_be_a_decimal_integer(self, capsys):
+        assert main(["oracle", "3,3,3", "--budget", "1_0"]) == 64
+        assert "budget" in capsys.readouterr().err
+
+
 class TestIlsCommand:
     def test_basic(self, capsys):
         assert main(["ils", "20", "3,2,1"]) == 0
@@ -302,3 +324,7 @@ class TestIlsCommand:
 
     def test_order_cap(self, capsys):
         assert main(["ils", "2001", "3,2,1"]) == 64
+
+    @pytest.mark.parametrize("n", ["2_0", "+20", "\u0662\u0660"])
+    def test_order_must_be_a_decimal_integer(self, n, capsys):
+        assert main(["ils", n, "3,2,1"]) == 64

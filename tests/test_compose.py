@@ -9,7 +9,6 @@ from pils import (
     Partition,
     PreconditionError,
     add_on_outline,
-    amalgamate_outline_array,
     blow_up,
     ls_uniform,
     odd_r_outline,
@@ -23,6 +22,7 @@ from pils.compose import (
     square_from_array,
     validate_outline_array,
 )
+from pils.core import _amalgamate
 
 
 @st.composite
@@ -43,6 +43,17 @@ def empty_array(k):
 def sizes(array, i, j):
     """F(i, j): the size of cell (i, j) of a grid (1-based)."""
     return sum(array[i - 1][j - 1].values())
+
+
+def merge(array, groups):
+    """:func:`_amalgamate` of a grid along ``groups``, a set partition of
+    its classes listed by smallest member: class x becomes the (1-based)
+    index of its group on all three axes."""
+    relabel = [0] * (len(array) + 1)
+    for g, members in enumerate(groups, start=1):
+        for x in members:
+            relabel[x] = g
+    return _amalgamate(array, relabel, relabel, relabel, (len(groups),) * 2)
 
 
 def frozen(array):
@@ -94,14 +105,14 @@ class TestSumAndAmalgamate:
         sq, _ = ls_uniform(2, 3)
         P = Partition([2, 2, 2])
         arr = reduce(sq, P, P, P).counts
-        out = amalgamate_outline_array(arr, [[1], [2], [3]])
+        out = merge(arr, [[1], [2], [3]])
         assert out == [list(row) for row in arr]
 
     def test_amalgamate_everything(self):
         sq, _ = ls_uniform(2, 3)
         P = Partition([2, 2, 2])
         arr = reduce(sq, P, P, P).counts
-        out = amalgamate_outline_array(arr, [[1, 2, 3]])
+        out = merge(arr, [[1, 2, 3]])
         assert out == [[{1: 36}]]
 
     def test_amalgamate_revalidates_against_summed_frequency(self):
@@ -112,7 +123,7 @@ class TestSumAndAmalgamate:
         sq = LatinSquare(REFERENCE_SQUARE)
         arr = reduce(sq, P, P, P).counts
         groups = [[1], [2, 3], [4], [5]]
-        out = amalgamate_outline_array(arr, groups)
+        out = merge(arr, groups)
         assert len(out) == 4
         assert validate_outline_array(out) == []
         assert sizes(out, 2, 2) == sum(sizes(arr, x, y) for x in (2, 3)
@@ -129,14 +140,9 @@ class TestSumAndAmalgamate:
             arrays.append(reduce(sq, P, P, P).counts)
         groups = [[1, 2], [3], [4]]
         a, b = arrays
-        first = amalgamate_outline_array(sum_outline_arrays(a, b), groups)
-        second = sum_outline_arrays(amalgamate_outline_array(a, groups),
-                                    amalgamate_outline_array(b, groups))
+        first = merge(sum_outline_arrays(a, b), groups)
+        second = sum_outline_arrays(merge(a, groups), merge(b, groups))
         assert first == second
-
-    def test_amalgamate_rejects_a_non_partition(self):
-        with pytest.raises(PreconditionError):
-            amalgamate_outline_array(empty_array(3), [[1, 2], [2, 3]])
 
 
 class TestValidateAndScale:

@@ -7,28 +7,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pils import (
-    BipartiteMultigraph,
     ExtractionInfeasible,
     InternalError,
     OutlineRectangle,
     Partition,
     PreconditionError,
     RealizationError,
-    extract_exact_degree_subgraph,
     is_latin,
     lift,
     lift_labels_to_realization,
     lift_to_realization,
     odd_r_outline,
     reduce,
-    split_column,
-    split_row,
-    split_symbol,
     validate_outline,
     verify_realization,
 )
 from pils.circulant import odd_r_labels
-from pils.lift import _conjugate, _halve, _peel_class, _perfect_matching
+from pils.lift import (
+    _halve,
+    _peel_class,
+    _perfect_matching,
+    _row_extraction,
+    _solve_extraction,
+    _split_symbols_to_units,
+)
 from reference import (
     REDUCTION_COLS,
     REDUCTION_ROWS,
@@ -99,47 +101,53 @@ def all_subgraph_degrees(mult):
             for left in lefts}
 
 
+def extract(mult, left, right):
+    """:func:`_solve_extraction` on a dense multiplicity matrix (0-based
+    right vertices), its result made dense again."""
+    rows = [{j: m for j, m in enumerate(row) if m} for row in mult]
+    taken = _solve_extraction(rows, left, right)
+    return [[got.get(j, 0) for j in range(len(row))]
+            for got, row in zip(taken, mult)]
+
+
+def degrees(mult):
+    """(left degrees, right degrees) of a dense multiplicity matrix."""
+    return (tuple(map(sum, mult)), tuple(map(sum, zip(*mult))))
+
+
 class TestExtraction:
     def test_regular_case(self):
-        g = BipartiteMultigraph([[2, 2], [2, 2]])
-        sub = extract_exact_degree_subgraph(g, [2, 2], [2, 2])
-        assert all(sub.left_degree(i) == 2 for i in (1, 2))
-        assert all(sub.right_degree(j) == 2 for j in (1, 2))
-        assert all(sub.multiplicity(i, j) <= 2
-                   for i in (1, 2) for j in (1, 2))
+        sub = extract([[2, 2], [2, 2]], [2, 2], [2, 2])
+        assert degrees(sub) == ((2, 2), (2, 2))
+        assert all(0 <= m <= 2 for row in sub for m in row)
 
     def test_zero_targets(self):
-        g = BipartiteMultigraph([[1, 0], [0, 1]])
-        sub = extract_exact_degree_subgraph(g, [0, 0], [0, 0])
-        assert sub.multiplicities == ((0, 0), (0, 0))
+        assert extract([[1, 0], [0, 1]], [0, 0], [0, 0]) == [[0, 0], [0, 0]]
 
     def test_identity_against_exhaustive_oracle(self):
         mult = [[1, 0], [0, 1]]
         achievable = all_subgraph_degrees(mult)
         assert ((1, 1), (1, 1)) in achievable
-        sub = extract_exact_degree_subgraph(
-            BipartiteMultigraph(mult), [1, 1], [1, 1])
-        assert sub.multiplicities == ((1, 0), (0, 1))
-        # (2,0)/(1,1) is not achievable, and the call rejects it up front
+        assert extract(mult, [1, 1], [1, 1]) == [[1, 0], [0, 1]]
+        # (2,0)/(1,1) is not achievable: left vertex 1 has one edge
         assert ((2, 0), (1, 1)) not in achievable
-        with pytest.raises(PreconditionError):
-            extract_exact_degree_subgraph(
-                BipartiteMultigraph(mult), [2, 0], [1, 1])
+        with pytest.raises(ExtractionInfeasible):
+            extract(mult, [2, 0], [1, 1])
+        with pytest.raises(PreconditionError, match="target sums differ"):
+            extract(mult, [1, 0], [1, 1])
 
     def test_infeasible_with_clean_preconditions(self):
         mult = [[1, 0], [0, 1]]
         assert ((0, 1), (1, 0)) not in all_subgraph_degrees(mult)
         with pytest.raises(ExtractionInfeasible) as info:
-            extract_exact_degree_subgraph(
-                BipartiteMultigraph(mult), [0, 1], [1, 0])
+            extract(mult, [0, 1], [1, 0])
         assert 2 in info.value.left_set
 
     def test_infeasible_unit_targets_give_one_based_cut(self):
         # left vertices 1 and 2 both need right vertex 1, which takes one
         mult = [[1, 0, 0], [1, 0, 0], [0, 1, 1]]
         with pytest.raises(ExtractionInfeasible) as info:
-            extract_exact_degree_subgraph(
-                BipartiteMultigraph(mult), [1, 1, 1], [1, 1, 1])
+            extract(mult, [1, 1, 1], [1, 1, 1])
         assert info.value.left_set == {1, 2}
         assert info.value.right_set == {1}
 
@@ -149,62 +157,59 @@ class TestExtraction:
             nl, nr = rng.randint(1, 4), rng.randint(1, 4)
             mult = [[rng.randint(0, 3) for _ in range(nr)]
                     for _ in range(nl)]
-            achievable = all_subgraph_degrees(mult)
-            left, right = rng.choice(sorted(achievable))
-            g = BipartiteMultigraph(mult)
-            sub = extract_exact_degree_subgraph(g, left, right)
-            assert tuple(sub.left_degree(i + 1) for i in range(nl)) == left
-            assert tuple(sub.right_degree(j + 1) for j in range(nr)) == right
+            left, right = rng.choice(sorted(all_subgraph_degrees(mult)))
+            sub = extract(mult, list(left), list(right))
+            assert degrees(sub) == (left, right)
+            assert all(0 <= m <= c for row, sub_row in zip(mult, sub)
+                       for c, m in zip(row, sub_row))
+
+
+def cut_row(outline: OutlineRectangle, i: int, a: int) -> OutlineRectangle:
+    """``outline`` with row class i cut into classes of sizes (a, p_i - a)
+    by :func:`_row_extraction`, the cut the lift makes."""
+    P = outline.row_partition
+    singles = [{s: 1} for s in range(outline.sym_partition.k + 1)]
+    unit, rest = _row_extraction(
+        outline.counts[i - 1], a, outline.col_partition.parts,
+        outline.sym_partition.parts, singles)
+    parts = P.parts[:i - 1] + (a, P.part(i) - a) + P.parts[i:]
+    cells = outline.counts[:i - 1] + (unit, rest) + outline.counts[i:]
+    return OutlineRectangle(Partition(parts), outline.col_partition,
+                            outline.sym_partition, cells)
 
 
 class TestSplits:
     def test_split_row_on_reference_outline(self):
-        out = split_row(reference_outline(), 4, 1)
+        out = cut_row(reference_outline(), 4, 1)
         assert out.row_partition.parts == (1, 1, 1, 1, 1, 2, 1, 1)
         assert validate_outline(out) == []
 
-    def test_split_part_one_row_rejected(self):
-        with pytest.raises(PreconditionError):
-            split_row(reference_outline(), 1, 1)
-
     def test_split_single_cell_outline(self):
         two = Partition([2])
-        out = split_row(OutlineRectangle(two, two, two, [[(1, 1, 1, 1)]]), 1, 1)
+        out = cut_row(OutlineRectangle(two, two, two, [[(1, 1, 1, 1)]]), 1, 1)
         assert out.row_partition.parts == (1, 1)
         assert out.cell(1, 1) == (1, 1) and out.cell(2, 1) == (1, 1)
+        assert validate_outline(out) == []
 
     def test_split_column_transposes(self):
-        out = split_column(reference_outline(), 1, 1)
+        # the lift cuts column classes as the rows of its transposed cells
+        outline = reference_outline()
+        cols = [list(col) for col in zip(*outline.counts)]
+        singles = [{s: 1} for s in range(outline.sym_partition.k + 1)]
+        unit, rest = _row_extraction(cols[0], 1, outline.row_partition.parts,
+                                     outline.sym_partition.parts, singles)
+        Q = Partition((1, 2) + outline.col_partition.parts[1:])
+        cells = [list(row) for row in zip(unit, rest, *cols[1:])]
+        out = OutlineRectangle(outline.row_partition, Q,
+                               outline.sym_partition, cells)
         assert out.col_partition.parts == (1, 2, 2, 2, 1, 1)
         assert validate_outline(out) == []
 
     def test_split_symbol_forced_two_by_two(self):
-        ones = Partition([1, 1])
-        outline = OutlineRectangle(ones, ones, Partition([2]),
-                                   [[(1,), (1,)], [(1,), (1,)]])
-        out = split_symbol(outline, 1, 1)
-        assert out.sym_partition.parts == (1, 1)
-        grid = [[out.cell(i, j)[0] for j in (1, 2)] for i in (1, 2)]
+        # a symbol class of size 2 on unit rows and columns, split by the
+        # lift's symbol phase
+        grid = _split_symbols_to_units([[1, 1], [1, 1]], (2,))
         assert is_latin(grid)
-
-    def test_split_symbol_on_reference_outline(self):
-        out = split_symbol(reference_outline(), 1, 1)
-        assert out.sym_partition.parts == (1, 2, 1, 1, 1, 1, 1, 1)
-        assert validate_outline(out) == []
-
-    def test_conjugate_is_an_involution(self):
-        outline = reference_outline()
-        conjugate = _conjugate(outline)
-        assert conjugate.row_partition == outline.sym_partition
-        assert validate_outline(conjugate) == []
-        assert _conjugate(conjugate) == outline
-
-    def test_split_symbol_part_one_rejected(self):
-        ones = Partition([1, 1])
-        outline = OutlineRectangle(ones, ones, ones,
-                                   [[(1,), (2,)], [(2,), (1,)]])
-        with pytest.raises(PreconditionError):
-            split_symbol(outline, 1, 1)
 
     def test_every_split_output_validates(self):
         rng = random.Random(5)
@@ -218,7 +223,7 @@ class TestSplits:
             splittable = [i for i in range(1, P.k + 1) if P.part(i) > 1]
             if splittable:
                 i = rng.choice(splittable)
-                out = split_row(outline, i, rng.randint(1, P.part(i) - 1))
+                out = cut_row(outline, i, rng.randint(1, P.part(i) - 1))
                 assert validate_outline(out) == []
 
 
@@ -323,7 +328,7 @@ class TestLift:
         if splittable:
             i = data.draw(st.sampled_from(splittable), label="row")
             a = data.draw(st.integers(1, P.part(i) - 1), label="a")
-            assert validate_outline(split_row(outline, i, a)) == []
+            assert validate_outline(cut_row(outline, i, a)) == []
 
 
 class TestHalve:
