@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -294,6 +295,11 @@ class TestOracleCommand:
 
     def test_budget(self, capsys):
         assert main(["oracle", "3,3,3", "--budget", "2"]) == 2
+
+    def test_none_within_a_small_budget(self, capsys):
+        assert main(["oracle", "3,3,2,1", "--budget", "20000"]) == 1
+        assert re.fullmatch(r"none \(\d+ nodes, exhaustive\)\n",
+                            capsys.readouterr().out)
 
     @pytest.mark.parametrize("partition", ["1^1000", "1^2000"])
     def test_beyond_the_search_depth_is_usage_error(self, partition, capsys):

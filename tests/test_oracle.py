@@ -6,6 +6,36 @@ from pils import Partition, PreconditionError, verify_realization
 from pils import oracle
 from pils.oracle import enumerate_partitions, find_realization_bruteforce
 
+# Ground truth for every partition of n <= 9, by order.  (3,2,1,1,1),
+# (3,2,1,1,1,1) and (3,2,2,1,1) are the partitions exists() leaves unknown.
+FOUND = {
+    (1,), (2,), (1, 1, 1), (3,), (1, 1, 1, 1), (4,), (1, 1, 1, 1, 1),
+    (2, 1, 1, 1), (5,), (1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (2, 2, 2), (6,),
+    (1, 1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1), (2, 2, 2, 1),
+    (3, 1, 1, 1, 1), (7,), (1, 1, 1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1, 1),
+    (2, 2, 1, 1, 1, 1), (2, 2, 2, 1, 1), (2, 2, 2, 2), (3, 1, 1, 1, 1, 1),
+    (3, 2, 1, 1, 1), (8,), (1, 1, 1, 1, 1, 1, 1, 1, 1),
+    (2, 1, 1, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1, 1, 1), (2, 2, 2, 1, 1, 1),
+    (2, 2, 2, 2, 1), (3, 1, 1, 1, 1, 1, 1), (3, 2, 1, 1, 1, 1),
+    (3, 2, 2, 1, 1), (3, 2, 2, 2), (3, 3, 1, 1, 1), (3, 3, 3),
+    (4, 1, 1, 1, 1, 1), (9,),
+}
+NONE = {
+    (1, 1), (2, 1), (2, 1, 1), (2, 2), (3, 1), (2, 2, 1), (3, 1, 1), (3, 2),
+    (4, 1), (2, 2, 1, 1), (3, 1, 1, 1), (3, 2, 1), (3, 3), (4, 1, 1), (4, 2),
+    (5, 1), (3, 2, 1, 1), (3, 2, 2), (3, 3, 1), (4, 1, 1, 1), (4, 2, 1),
+    (4, 3), (5, 1, 1), (5, 2), (6, 1), (3, 2, 2, 1), (3, 3, 1, 1), (3, 3, 2),
+    (4, 1, 1, 1, 1), (4, 2, 1, 1), (4, 2, 2), (4, 3, 1), (4, 4), (5, 1, 1, 1),
+    (5, 2, 1), (5, 3), (6, 1, 1), (6, 2), (7, 1), (3, 3, 2, 1),
+    (4, 2, 1, 1, 1), (4, 2, 2, 1), (4, 3, 1, 1), (4, 3, 2), (4, 4, 1),
+    (5, 1, 1, 1, 1), (5, 2, 1, 1), (5, 2, 2), (5, 3, 1), (5, 4), (6, 1, 1, 1),
+    (6, 2, 1), (6, 3), (7, 1, 1), (7, 2), (8, 1),
+}
+
+
+def free_cells(parts):
+    return sum(parts) ** 2 - sum(p * p for p in parts)
+
 
 class TestEnumeratePartitions:
     def test_small_counts(self):
@@ -62,16 +92,22 @@ class TestBruteforce:
         with pytest.raises(PreconditionError, match="recursion depth"):
             find_realization_bruteforce(Partition(parts))
 
-    @pytest.mark.parametrize("room, status", [(72, "found"),
-                                              (71, "rejected")])
-    def test_depth_bound_follows_the_recursion_limit(self, room, status,
+    @pytest.mark.parametrize("parts, room, status", [
+        pytest.param((1,) * 9, 72, "found", id="72-found"),
+        pytest.param((1,) * 9, 71, "rejected", id="71-rejected"),
+        pytest.param((2, 2, 2, 1, 1, 1), 66, "found", id="222111-66-found"),
+        pytest.param((2, 2, 2, 1, 1, 1), 65, "rejected",
+                     id="222111-65-rejected"),
+    ])
+    def test_depth_bound_follows_the_recursion_limit(self, parts, room, status,
                                                      monkeypatch):
-        # 1^9 has 72 free cells; the search may go as deep as the recursion
-        # limit less the frames kept for its callers
+        # 1^9 has 72 free cells and is found by the row-major pass; 2^3 1^3
+        # has 66 and is found by the propagating pass.  The search may go as
+        # deep as the recursion limit less the frames kept for its callers
         monkeypatch.setattr(oracle, "_CALLER_FRAMES",
                             sys.getrecursionlimit() - room)
         try:
-            result = find_realization_bruteforce(Partition([1] * 9)).status
+            result = find_realization_bruteforce(Partition(parts)).status
         except PreconditionError:
             result = "rejected"
         assert result == status
@@ -96,3 +132,33 @@ class TestBruteforce:
                 raw = find_realization_bruteforce(partition, symmetry=False)
                 assert fast.status == raw.status, partition
                 assert fast.nodes <= raw.nodes or fast.status == "found"
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_verdicts_up_to_order_nine(self, symmetry):
+        verdicts = {**dict.fromkeys(FOUND, "found"),
+                    **dict.fromkeys(NONE, "none")}
+        assert len(FOUND) == 40 and len(NONE) == 56 and len(verdicts) == 96
+        for n in range(1, 10):
+            for partition in enumerate_partitions(n):
+                result = find_realization_bruteforce(partition,
+                                                     symmetry=symmetry)
+                assert result.status == verdicts[partition.parts], partition
+                if result.status == "found":
+                    verify_realization(result.square, partition)
+
+    def test_line_checks_refute_within_a_small_budget(self):
+        # the row-major pass alone needs 1,618,270 nodes for this "none"
+        result = find_realization_bruteforce(Partition([3, 3, 2, 1]),
+                                             budget=20_000)
+        assert result.status == "none"
+        assert result.nodes > 8 * free_cells((3, 3, 2, 1))
+
+    @pytest.mark.parametrize("parts", [(2, 2, 2, 1, 1, 1), (2, 2, 2, 2, 1),
+                                       (2,) + (1,) * 7])
+    def test_second_pass_squares_are_in_normal_form(self, parts):
+        # more nodes than the row-major pass's cap: found by the second
+        # pass, which must start from the blocks alone
+        result = find_realization_bruteforce(Partition(parts))
+        assert result.status == "found"
+        assert result.nodes > 8 * free_cells(parts)
+        verify_realization(result.square, Partition(parts), normal_form=True)
