@@ -159,22 +159,24 @@ def _circulant_labels(partition: Partition,
     inv2 = (t + 1) // 2
 
     grid = [[0] * n for _ in range(n)]
+    corner = list(range(1, h1 + 1)) * 2
     for x in range(h1):
-        row = grid[x]
-        for y in range(h1):
-            row[y] = (x + y) % h1 + 1
-    dmap = {dv: idx for idx, dv in enumerate(params.d, start=1)}
+        grid[x][:h1] = corner[x:x + h1]
+    # cell (i, j) of the body holds ((i + j) * inv2 - 1) % t + 1 + h1, a
+    # function of (i + j) mod t, so row i is a window of the doubled
+    # sequence; the cell on difference j - i = d[idx - 1] goes to the
+    # prolongation instead
+    body = [(s * inv2 - 1) % t + 1 + h1 for s in range(t)] * 2
     for i in range(1, t + 1):
         gi = grid[h1 + i - 1]
-        for j in range(1, t + 1):
-            b = ((i + j) * inv2 - 1) % t + 1 + h1
-            idx = dmap.get((j - i - 1) % t + 1)
-            if idx is None:
-                gi[h1 + j - 1] = b
-            else:
-                gi[h1 + j - 1] = idx
-                grid[idx - 1][h1 + j - 1] = b
-                gi[idx - 1] = b
+        s = (i + 1) % t
+        gi[h1:] = body[s:s + t]
+        for idx, dv in enumerate(params.d, start=1):
+            c = h1 + (i + dv - 1) % t
+            b = gi[c]
+            gi[c] = idx
+            grid[idx - 1][c] = b
+            gi[idx - 1] = b
     if not is_latin(grid):
         raise InternalError("prolonged square is not latin")
 
@@ -191,7 +193,9 @@ def _circulant_labels(partition: Partition,
         for _ in range(parts[i - 1]):
             pos += 1
             label_of[pos] = h1 + i - 1
-    labels = [[label_of[v] for v in row] for row in grid]
+    labels = grid  # relabelled in place
+    for row in labels:
+        row[:] = map(label_of.__getitem__, row)
 
     # Four-cell trades put each block's own group symbol onto the odd
     # difference cells inside the block (and their transposes).
@@ -308,12 +312,14 @@ def odd_r_outline(partition: Partition) -> OutlineRectangle:
     3 x 3 corner is the symmetric pattern with h^2 copies of 3, 2, 1 on the
     cells (1,2)/(2,1), (1,3)/(3,1), (2,3)/(3,2) respectively, so both
     orientations offer beta = h^2 to a later blow-up.  It is the
-    amalgamation of :func:`odd_r_labels` along the partition's blocks.
+    amalgamation of :func:`odd_r_labels` along the partition's blocks, here
+    made from the finer grid of :func:`odd_r_seed_labels`.
     """
-    labels = odd_r_labels(partition)
+    labels = odd_r_seed_labels(partition)
     groups = _group_map(partition.parts)
     k = partition.k
-    cells = _amalgamate_labels(labels, groups, groups, range(k + 1), (k, k))
+    cells = _amalgamate_labels(labels, groups, groups,
+                               _odd_r_classes(partition), (k, k))
     outline = OutlineRectangle(partition, partition, partition, cells)
     bad = validate_outline(outline)
     if bad:
@@ -324,15 +330,39 @@ def odd_r_outline(partition: Partition) -> OutlineRectangle:
     return outline
 
 
+def _odd_r_classes(partition: Partition) -> list[int]:
+    """The class of each label of :func:`odd_r_seed_labels` (index 0
+    unused): labels 1..3h in h-groups onto classes 1, 2, 3, then the
+    circulant's tail labels 3h + 1 .. onto classes 4..k."""
+    h = partition.part(1)
+    return [0] + [(v - 1) // h + 1 for v in range(1, 3 * h + 1)] + \
+        list(range(4, partition.k + 1))
+
+
 def odd_r_labels(partition: Partition) -> list[list[int]]:
     """The n x n label grid of :func:`odd_r_outline`, before amalgamation.
 
-    Cell (x, y) holds the class of the seed's symbol there: the label grid
-    of the circulant rectangle for (3h, h4, ..., hk), with its first 3h
-    symbols grouped by h into classes 1, 2, 3 and its tail blocks into
-    classes 4..k, and with the 3h x 3h corner overwritten by the 3 x 3 block
-    pattern of the outline.  Rows and columns are units, so a caller that
-    needs no outline square lifts only the symbols.
+    Cell (x, y) holds the class of the seed's symbol there: the grid of
+    :func:`odd_r_seed_labels` with labels 1..3h grouped by h into classes
+    1, 2, 3 and its tail labels into classes 4..k, so its 3h x 3h corner is
+    the 3 x 3 block pattern of the outline.  Rows and columns are units.
+    """
+    classes = _odd_r_classes(partition)
+    return [list(map(classes.__getitem__, row))
+            for row in odd_r_seed_labels(partition)]
+
+
+def odd_r_seed_labels(partition: Partition) -> list[list[int]]:
+    """The seed of :func:`odd_r_outline` as an n x n label grid over the
+    symbol partition (1^{3h}, h4, ..., hk), finer than its classes.
+
+    It is the label grid of the circulant rectangle for (3h, h4, ..., hk),
+    whose 3h x 3h corner is a latin subsquare on labels 1..3h, with that
+    corner rewritten as the nine cyclic blocks of the outline's corner
+    pattern: block (a, b) of class c holds (c - 1) h + (x + y) mod h + 1 in
+    its cell (x, y), so each corner line still holds 1..3h once.  Rows and
+    columns are units, and labels 1..3h are held once per line, so a caller
+    that needs no outline square lifts only the tail labels' symbols.
 
     The odd tail sum, the non-increasing tail and the window on h4 and 3h
     are the preconditions of :func:`circulant_params` on (3h, h4, ..., hk),
@@ -346,17 +376,13 @@ def odd_r_labels(partition: Partition) -> list[list[int]]:
         raise PreconditionError("first three parts must be equal")
 
     labels, _, _ = _circulant_labels(Partition((3 * h,) + parts[3:]))
-    # symbols 1..3h in h-groups, then the circulant's tail labels 3h + 1 ..
-    # onto classes 4..k
-    sym_map = [0] + [(v - 1) // h + 1 for v in range(1, 3 * h + 1)] + \
-        list(range(4, partition.k + 1))
-    grid = [[sym_map[v] for v in row] for row in labels]
+    cyclic = [list(range(c * h + 1, c * h + h + 1)) * 2 for c in range(3)]
     corner = ((1, 3, 2), (3, 2, 1), (2, 1, 3))
-    block_rows = [[sym for sym in pattern for _ in range(h)]
-                  for pattern in corner]
     for x in range(3 * h):
-        grid[x][:3 * h] = block_rows[x // h]
-    return grid
+        a, y = divmod(x, h)
+        labels[x][:3 * h] = [v for c in corner[a]
+                             for v in cyclic[c - 1][y:y + h]]
+    return labels
 
 
 def even_r_outline(partition: Partition,

@@ -131,7 +131,7 @@ def square_json(square: LatinSquare, partition: Partition,
               for blk in certificate.blocks]
     out = {"order": square.order,
            "partition": list(partition.parts),
-           "square": [list(row) for row in square.grid],
+           "square": square.grid,  # json writes the tuples as lists
            "blocks": blocks}
     if trace is not None:
         out["trace"] = json.loads(trace.to_json())
@@ -251,7 +251,7 @@ def _cmd_ils(args) -> int:
                "symbols": list(blk.symbols)} for blk in certificate.blocks]
     print(json.dumps({"order": square.order,
                       "orders": sorted(orders.parts, reverse=True),
-                      "square": [list(row) for row in square.grid],
+                      "square": square.grid,  # json writes the tuples as lists
                       "blocks": blocks}))
     return EX_OK
 

@@ -149,19 +149,24 @@ def is_latin(grid: Sequence[Sequence[int]]) -> bool:
     if n == 0:
         raise GridError("empty grid")
     full = frozenset(range(1, n + 1))
+    rows_full = True
     for r, row in enumerate(grid, start=1):
         if len(row) != n:
             raise GridError(f"row {r} has length {len(row)}, expected {n}")
-        for c, v in enumerate(row, start=1):
-            if not isinstance(v, int) or not 1 <= v <= n:
-                raise GridError(f"cell ({r},{c}) holds {v!r}, expected 1..{n}")
-    for row in grid:
-        if set(row) != full:
-            return False
-    for c in range(n):
-        if {row[c] for row in grid} != full:
-            return False
-    return True
+        held = set(row) if set(map(type, row)) == {int} else None
+        if held is None or not held <= full:
+            # name the first bad cell; an int subclass such as bool passes
+            for c, v in enumerate(row, start=1):
+                if not isinstance(v, int) or not 1 <= v <= n:
+                    raise GridError(
+                        f"cell ({r},{c}) holds {v!r}, expected 1..{n}")
+            held = set(row)
+        if len(held) != n:
+            rows_full = False
+    if not rows_full:
+        return False
+    # every entry lies in [n], so a line holds all of [n] iff n distinct
+    return all(len(set(col)) == n for col in zip(*grid))
 
 
 @dataclass(frozen=True)
@@ -216,6 +221,7 @@ def verify_subsquares(square: LatinSquare,
     blocks need not partition the lines.  Raises :class:`RealizationError`
     naming the first offending block and cell.
     """
+    grid = square.grid
     seen_rows: set[int] = set()
     seen_cols: set[int] = set()
     seen_syms: set[int] = set()
@@ -235,19 +241,22 @@ def verify_subsquares(square: LatinSquare,
             seen.update(vals)
 
         symset = set(blk.symbols)
-        for r in blk.rows:
-            row_syms = [square.cell(r, c) for c in blk.cols]
-            for c, v in zip(blk.cols, row_syms):
-                if v not in symset:
-                    raise RealizationError(
-                        f"block {i} is not a subsquare: cell ({r},{c}) holds "
-                        f"{v}, outside its symbol set", block=i, cell=(r, c))
+        # each block row read from the grid once
+        rows = [grid[r - 1] for r in blk.rows]
+        for r, row in zip(blk.rows, rows):
+            row_syms = [row[c - 1] for c in blk.cols]
+            if not symset.issuperset(row_syms):
+                c, v = next((c, v) for c, v in zip(blk.cols, row_syms)
+                            if v not in symset)
+                raise RealizationError(
+                    f"block {i} is not a subsquare: cell ({r},{c}) holds "
+                    f"{v}, outside its symbol set", block=i, cell=(r, c))
             if len(set(row_syms)) != h:
                 raise RealizationError(
                     f"block {i} repeats a symbol in row {r}", block=i,
                     cell=(r, blk.cols[0]))
         for c in blk.cols:
-            col_syms = {square.cell(r, c) for r in blk.rows}
+            col_syms = {row[c - 1] for row in rows}
             if len(col_syms) != h:
                 raise RealizationError(
                     f"block {i} repeats a symbol in column {c}", block=i,

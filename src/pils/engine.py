@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .base import _two_size_outline, _uniform_outline, ls_uniform
-from .circulant import even_r_outline, odd_r_labels, odd_r_outline
+from .circulant import even_r_outline, odd_r_outline, odd_r_seed_labels
 from .compose import add_on_step, blow_up
 from .core import (
     InternalError,
@@ -112,8 +112,9 @@ def attempt_pipeline(partition: Partition, labels: bool = False,
     constructions.
 
     With ``labels``, an odd-tail seed of size t = h1 is the partition itself
-    and its blow-up the identity, so its label grid (:func:`odd_r_labels`,
-    whose amalgamation the outline square is) is returned instead.
+    and its blow-up the identity, so its label grid over the symbol
+    partition (1^{3h}, h4, ..., hk) (:func:`odd_r_seed_labels`, whose
+    amalgamation the outline square is) is returned instead.
     """
     parts = partition.parts
     if len(parts) < 4:
@@ -129,7 +130,7 @@ def attempt_pipeline(partition: Partition, labels: bool = False,
         beta1 = beta2 = t * t
         parity = "odd"
         if labels and t == h1:
-            built = odd_r_labels(seed)
+            built = odd_r_seed_labels(seed)
         else:
             built = blow_up(odd_r_outline(seed), h1, beta1, beta2)
     else:

@@ -11,25 +11,33 @@ then every row class (on the transpose), then every symbol class.  A line
 class of even size p is a multigraph on (cross class) x (symbol class)
 whose every degree is a multiple of p, so an Euler partition halves it
 exactly.  Once every line is a singleton, each symbol class is an r-regular
-bipartite graph on rows x columns.  It is halved the same way, into two
-(r/2)-regular classes, down to transversals; an odd degree first gives one
-symbol a perfect matching.  Both halvings run one pairing walk,
-:func:`_pair_walk`.  On a valid outline rectangle no extraction, halving
-or matching can fail; any failure is an internal invariant violation.
+bipartite graph on rows x columns.  An outline cell (I, J) that holds one
+class l only, with p_I = q_J = r_l, holds every copy of l in its row and
+column classes, so its r_l x r_l cells are then a whole component of the
+class: a pure block, written directly as the cyclic square on l's symbols.
+Every diagonal cell of a construction's outline square is one.  The rest
+of each class is halved the same way, into two (r/2)-regular classes, down
+to transversals; an odd degree first gives one symbol a perfect matching.
+Both halvings run one pairing walk, :func:`_pair_walk`, on the flat list of
+each edge's right vertex.  On a valid outline rectangle no extraction,
+halving or matching can fail; any failure is an internal invariant
+violation.
 
-A grid of class labels whose every row and column holds class l exactly
-r_l times spells out an outline with unit rows and columns, so only the
-symbol phase is left; :func:`lift_labels_to_realization` runs it alone.
-The engine takes that route when its last outline step is the odd-tail
-circulant seed of size h1: the seed is built as such a grid, and
-amalgamating it into the outline square only for :func:`lift` to cut and
-halve every line class back down to units would redo, cell by cell, what
-the seed had already done.
+A grid of labels whose every row and column holds label l exactly r_l
+times spells out an outline with unit rows and columns, so only the symbol
+phase is left; :func:`lift_labels_to_realization` runs it alone.  The
+engine takes that route when its last outline step is the odd-tail
+circulant seed of size h1: the seed is built as such a grid over the
+symbol partition (1^{3h}, h4, ..., hk), finer than the classes, whose 3h
+leading labels are single symbols.  Amalgamating it into the outline
+square only for :func:`lift` to cut and halve every line class back down
+to units, and to split symbols 1..3h out of classes 1-3 again, would redo,
+cell by cell, what the seed had already done.
 
 Splits are performed in a fixed order (row cuts, column cuts, column
-halvings, row halvings, then symbols, lowest index first) with
-deterministic solvers that read cells in symbol order, so lifting is a
-pure function of its input.
+halvings, row halvings, then pure blocks and symbols, lowest index first)
+with deterministic solvers that read cells in symbol order, so lifting is
+a pure function of its input.
 
 Every cell is the outline's own ``{symbol: count}`` map, which is the
 sparse multiplicity row the flow solver takes (symbol l is right vertex l;
@@ -39,8 +47,9 @@ h_i * h_j entries nor recounts one.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import chain
+from collections import Counter, deque
+from itertools import accumulate, chain
+from operator import add
 from typing import Sequence
 
 from .core import (
@@ -51,8 +60,10 @@ from .core import (
     PreconditionError,
     SubsquareCertificate,
     RealizationError,
+    _amalgamate_labels,
     _check_labels,
     _group_map,
+    # unused here; perfbench's alias-rebinding test asserts this name
     reduce as core_reduce,
     validate_outline,
     verify_realization,
@@ -285,28 +296,43 @@ class _LiftState:
         self.cells = [list(col) for col in zip(*self.cells)]
 
 
-def _pair_walk(at: Sequence[Sequence[int]]) -> list[int]:
+def _pair_walk(right: Sequence[int], n: int,
+               ) -> tuple[list[int] | None, list[int]]:
     """Split a bipartite multigraph of even degrees into two halves, each
     with half of every vertex's degree (Gabow 1976; Alon 2003).
 
-    Every vertex must have even degree; the callers check it.  Edges are
-    numbered so that pair q, edges 2q and 2q + 1, leaves one left vertex.
-    ``at[v]`` lists the edges at right vertex v in increasing order, and
-    consecutive edges there are paired too.  Following the pairs
-    alternately walks the graph as closed trails, each starting at the
-    lowest unwalked pair by walking edge 2q from left to right.  Returns
-    ``back``: for every pair q, its edge walked back, from right to left;
-    the other, ``back[q] ^ 1``, is walked from left to right.  (The edges
-    walked back are the stored partners, so the list adds no int objects.)
+    Edges are numbered so that pair q, edges 2q and 2q + 1, leaves one left
+    vertex; ``right[e]`` is the right vertex of edge e, in [0, n).  One pass
+    in edge order pairs consecutive edges at each right vertex, holding one
+    open edge per vertex.  Following the pairs alternately walks the graph
+    as closed trails, each starting at the lowest unwalked pair by walking
+    edge 2q from left to right.
+
+    Returns ``(back, pairs)``: ``pairs[v]`` is the number of pairs at right
+    vertex v, and ``back`` lists, for every pair q, its edge walked back,
+    from right to left; the other, ``back[q] ^ 1``, is walked from left to
+    right.  (The edges walked back are the stored partners, so the list
+    adds no int objects.)  A right vertex of odd degree has ``pairs[v]`` =
+    -1, and then no walk is made and ``back`` is None; the callers raise.
     """
-    # every right degree is even, so no pair of consecutive edges in
-    # right-vertex order straddles two vertices
-    by_right = list(chain.from_iterable(at))
-    partner = [0] * len(by_right)
-    for e, f in zip(by_right[::2], by_right[1::2]):
-        partner[e] = f
-        partner[f] = e
-    back = [-1] * (len(by_right) >> 1)
+    partner = [0] * len(right)
+    open_edge = [-1] * n
+    pairs = [0] * n
+    for e, v in enumerate(right):
+        f = open_edge[v]
+        if f < 0:
+            open_edge[v] = e
+        else:
+            partner[e] = f
+            partner[f] = e
+            open_edge[v] = -1
+            pairs[v] += 1
+    if max(open_edge) >= 0:
+        for v, f in enumerate(open_edge):
+            if f >= 0:
+                pairs[v] = -1
+        return None, pairs
+    back = [-1] * (len(right) >> 1)
     for q, f in enumerate(back):
         if f >= 0:
             continue
@@ -319,7 +345,7 @@ def _pair_walk(at: Sequence[Sequence[int]]) -> list[int]:
             e = f ^ 1
             if e == start:
                 break
-    return back
+    return back, pairs
 
 
 def _halve(cells: Sequence[dict[int, int]], singles: Sequence[dict[int, int]],
@@ -373,15 +399,11 @@ def _halve(cells: Sequence[dict[int, int]], singles: Sequence[dict[int, int]],
         second.append(half and dict(half))
         spans.append((c, len(edge_sym) >> 1))
         edge_sym += odd
-    at: list[list[int]] = [[] for _ in singles]
-    for e, s in enumerate(edge_sym):
-        at[s].append(e)
-    for s, edges in enumerate(at):
-        if len(edges) & 1:
-            raise InternalError(
-                f"symbol {s} of a line class being halved has odd residual "
-                f"degree; the outline being lifted is corrupt")
-    back = _pair_walk(at)
+    back, pairs = _pair_walk(edge_sym, len(singles))
+    if back is None:
+        raise InternalError(
+            f"symbol {pairs.index(-1)} of a line class being halved has odd "
+            f"residual degree; the outline being lifted is corrupt")
     spans.append((len(cells), len(back)))
     for (c, lo), (_, hi) in zip(spans, spans[1:]):
         a = first[c]
@@ -449,14 +471,17 @@ def _split_rows_to_units(state: _LiftState) -> None:
 def _perfect_matching(adj: list[list[int]], n: int) -> list[int]:
     """One perfect matching of a regular bipartite graph, rows to columns.
 
-    A greedy pass matches each row in turn to the free column with the
-    fewest rows still to come (the first such in ``adj`` order), so the
-    columns that later rows could still take stay free; breadth-first
-    augmenting paths then match the rows it left.  On the structured
-    classes of the circulant seeds, the first free column instead left
-    searches about eight times wider.
+    ``adj[i]`` lists the columns of row i, ids in [0, n); a graph whose
+    rows are a subset of a grid's has as many columns in use as rows, and
+    ``n`` need only bound their ids.  A greedy pass matches each row in
+    turn to the free column with the fewest rows still to come (the first
+    such in ``adj`` order), so the columns that later rows could still take
+    stay free; breadth-first augmenting paths then match the rows it left.
+    On the structured classes of the circulant seeds, the first free column
+    instead left searches about eight times wider.
     """
-    match_row = [-1] * n
+    rows = len(adj)
+    match_row = [-1] * rows
     match_col = [-1] * n
     # every column of a regular graph has the rows' degree
     to_come = [len(adj[0])] * n
@@ -472,27 +497,35 @@ def _perfect_matching(adj: list[list[int]], n: int) -> list[int]:
         if best >= 0:
             match_row[i] = best
             match_col[best] = i
-    for i in range(n):
+    # one search per row the greedy pass left: a column is seen in the
+    # current search when it holds that search's stamp, and each row the
+    # search reaches is reached once, through (parent_row, parent_col)
+    seen = [0] * n
+    parent_row = [0] * rows
+    parent_col = [0] * rows
+    stamp = 0
+    for i in range(rows):
         if match_row[i] >= 0:
             continue
-        parent: dict[int, tuple[int, int]] = {}
-        seen = [False] * n
-        queue = deque([i])
+        stamp += 1
+        queue = [i]
         free_col = -1
         last_row = -1
-        while queue and free_col < 0:
-            x = queue.popleft()
+        for x in queue:  # breadth first: the loop reaches appended rows
             for j in adj[x]:
-                if seen[j]:
+                if seen[j] == stamp:
                     continue
-                seen[j] = True
+                seen[j] = stamp
                 y = match_col[j]
                 if y < 0:
                     free_col = j
                     last_row = x
                     break
-                parent[y] = (x, j)
+                parent_row[y] = x
+                parent_col[y] = j
                 queue.append(y)
+            if free_col >= 0:
+                break
         if free_col < 0:
             raise InternalError(
                 "no perfect matching in a regular bipartite graph; the "
@@ -503,7 +536,7 @@ def _perfect_matching(adj: list[list[int]], n: int) -> list[int]:
             match_col[j] = x
             if x == i:
                 break
-            x, j = parent[x]
+            x, j = parent_row[x], parent_col[x]
     return match_row
 
 
@@ -512,58 +545,66 @@ def _peel_class(adj: list[list[int]], l: int, symbols: Sequence[int],
     """Write the cells of class ``l`` into ``out`` as transversals, one per
     entry of ``symbols``.
 
-    ``adj[i]`` lists the columns of row i whose cell holds the class; it is
-    consumed.  The class must be an r-regular bipartite graph on rows x
-    columns, r = len(symbols).  An odd r > 1 gives ``symbols[0]`` one
-    perfect matching and goes on with the rest; an even r is halved by
-    :func:`_halve_class`.  So a class costs one matching per odd degree met
-    on the way down, and none when r is a power of two.
+    ``adj[i]`` lists the columns of row ``out[i]`` whose cell holds the
+    class; it is consumed.  ``out`` may be some of a grid's rows, with the
+    columns the class holds there.  The class must be an r-regular
+    bipartite graph on those rows x columns, r = len(symbols).  An odd
+    r > 1 gives ``symbols[0]`` one perfect matching and goes on with the
+    rest; an even r is halved by :func:`_halve_class`.  So a class costs
+    one matching per odd degree met on the way down, and none when r is a
+    power of two.
     """
     r = len(symbols)
+    n = len(out[0])
     if r > 1 and r & 1:
         sym = symbols[0]
-        match = _perfect_matching(adj, len(adj))
+        match = _perfect_matching(adj, n)
         for i, j in enumerate(match):
             out[i][j] = sym
             adj[i].remove(j)
         symbols = symbols[1:]
         r -= 1
-    if r == 1:
-        if set(map(len, adj)) != {1} or \
-                len(set(chain.from_iterable(adj))) != len(adj):
-            raise InternalError(
-                f"class {l} did not resolve to a transversal")
-        sym = symbols[0]
-        for row, (j,) in zip(out, adj):
-            row[j] = sym
-        return
     if set(map(len, adj)) != {r}:
         raise InternalError(
+            f"class {l} did not resolve to a transversal" if r == 1 else
             f"class {l} is not {r}-regular on its rows; the outline being "
             f"lifted is corrupt")
-    _halve_class(list(chain.from_iterable(adj)), len(adj), l, symbols, out)
+    cells = list(chain.from_iterable(adj))
+    if r == 1:
+        _write_transversal(cells, l, symbols[0], out)
+    else:
+        _halve_class(cells, n, l, symbols, out)
+
+
+def _write_transversal(cells: list[int], l: int, sym: int,
+                       out: list[list[int]]) -> None:
+    """Write ``sym`` into column ``cells[i]`` of ``out[i]`` for every row,
+    the columns of a class of degree 1; they must be distinct."""
+    if len(set(cells)) != len(cells):
+        raise InternalError(f"class {l} did not resolve to a transversal")
+    for row, j in zip(out, cells):
+        row[j] = sym
 
 
 def _halve_class(cells: list[int], n: int, l: int, symbols: Sequence[int],
                  out: list[list[int]]) -> None:
     """:func:`_peel_class` for an even degree r = len(symbols), with the
-    class flat: row i holds the columns ``cells[i*r:(i+1)*r]``.
+    class flat: row ``out[i]`` holds the columns ``cells[i*r:(i+1)*r]``, ids
+    in [0, n).
 
     :func:`_pair_walk` splits the class into two (r/2)-regular halves, the
     cells walked from row to column and those walked back, which take the
     first and second halves of ``symbols``; a class of degree 2 writes both
-    straight into ``out``.
+    straight into ``out``.  Every column the class holds must hold it r
+    times, which the walk's pair counts show.
     """
     r = len(symbols)
-    at: list[list[int]] = [[] for _ in range(n)]
-    for e, j in enumerate(cells):
-        at[j].append(e)
-    if set(map(len, at)) != {r}:
+    h = r >> 1
+    back, pairs = _pair_walk(cells, n)
+    if back is None or not set(pairs) <= {0, h}:
         raise InternalError(
             f"class {l} is not {r}-regular on its columns; the outline "
             f"being lifted is corrupt")
-    back = _pair_walk(at)
-    h = r >> 1
     if h == 1:
         a, b = symbols
         for row, e in zip(out, back):
@@ -572,7 +613,7 @@ def _halve_class(cells: list[int], n: int, l: int, symbols: Sequence[int],
         return
     first = [cells[e ^ 1] for e in back]
     second = [cells[e] for e in back]
-    del at, back  # free the walk's lists before the halves recurse
+    del back, pairs  # free the walk's lists before the halves recurse
     for half, part in ((first, symbols[:h]), (second, symbols[h:])):
         if h & 1:
             _peel_class([half[i:i + h] for i in range(0, len(half), h)], l,
@@ -582,21 +623,96 @@ def _halve_class(cells: list[int], n: int, l: int, symbols: Sequence[int],
 
 
 def _split_symbols_to_units(labels: list[list[int]],
-                            sym_parts: Sequence[int]) -> list[list[int]]:
+                            sym_parts: Sequence[int],
+                            blocks: Sequence[tuple[int, int, int]] = (),
+                            ) -> list[list[int]]:
     """Resolve each symbol class into final symbols by Euler halving, with
-    one perfect matching per odd degree (see :func:`_peel_class`)."""
+    one perfect matching per odd degree (see :func:`_peel_class`).
+
+    ``blocks`` lists pure blocks as (l, x, y): the r_l x r_l block of cells
+    labelled l whose first cell is (x, y), 0-based, and which holds every
+    cell of class l in its rows and columns.  Each is written as the cyclic
+    square ``base + (x + y) mod r_l + 1`` over l's symbols, and class l is
+    split only on its other rows, which are r_l-regular on the columns
+    outside its blocks.
+    """
     n = len(labels)
-    cols = list(range(n))  # one int object per column for all the lists
-    adjs = [[[] for _ in cols] for _ in range(len(sym_parts) + 1)]
-    for i, row in enumerate(labels):
-        for j, l in zip(cols, row):
-            adjs[l][i].append(j)
     grid = [[0] * n for _ in range(n)]
-    base = 0
+    first = list(accumulate(sym_parts, initial=0))
+    pure: list[list[int]] = [[] for _ in first]  # first rows of the blocks
+    for l, x0, y0 in blocks:
+        r = sym_parts[l - 1]
+        cyclic = list(range(first[l - 1] + 1, first[l] + 1)) * 2
+        for x in range(r):
+            grid[x0 + x][y0:y0 + r] = cyclic[x:x + r]
+        pure[l].append(x0)
+    # every class flat: row i's columns of class l are
+    # ``flats[l][i * r_l:(i + 1) * r_l]``, as the lengths after each row
+    # check, so a class costs one list, not one per row
+    parts = [0, *sym_parts]
+    flats: list[list[int] | None] = [[] for _ in first]
+    adds = [flat.append for flat in flats]
+    held = [0] * len(first)
+    cols = list(range(n))  # one int object per column for all the lists
+    for row in labels:
+        for j, l in zip(cols, row):
+            adds[l](j)
+        held = list(map(add, held, parts))
+        if list(map(len, flats)) != held:
+            l = next(l for l, flat in enumerate(flats)
+                     if len(flat) != held[l])
+            raise InternalError(
+                f"class {l} is not {parts[l]}-regular on its rows; the "
+                f"outline being lifted is corrupt")
+    del adds
     for l, r in enumerate(sym_parts, start=1):
-        _peel_class(adjs[l], l, range(base + 1, base + r + 1), grid)
-        base += r
+        cells, out = flats[l], grid
+        flats[l] = None  # consumed
+        if pure[l]:
+            # a pure block's rows hold class l only inside the block
+            kept_cells: list[int] = []
+            out = []
+            lo = 0
+            for x0 in sorted(pure[l]) + [n]:
+                kept_cells += cells[lo * r:x0 * r]
+                out += grid[lo:x0]
+                lo = x0 + r
+            if not out:
+                continue
+            cells = kept_cells
+        symbols = range(first[l - 1] + 1, first[l] + 1)
+        if r == 1:
+            _write_transversal(cells, l, symbols[0], out)
+        elif r & 1:
+            _peel_class([cells[i:i + r] for i in range(0, len(cells), r)], l,
+                        symbols, out)
+        else:
+            _halve_class(cells, n, l, symbols, out)
     return grid
+
+
+def _pure_blocks(outline: OutlineRectangle) -> list[tuple[int, int, int]]:
+    """The blocks (l, x, y) of :func:`_split_symbols_to_units` that the
+    lift of ``outline`` makes: one per cell (I, J) holding a single class l,
+    where p_I = q_J = r_l.
+
+    Such a cell holds r_l^2 = p_I * r_l copies of l, which is every copy in
+    row class I (and likewise in column class J), so once the lines are
+    units its r_l x r_l cells are a component of class l.
+    """
+    r_parts = outline.sym_partition.parts
+    blocks = []
+    x = 0
+    for p, row in zip(outline.row_partition.parts, outline.counts):
+        y = 0
+        for q, cell in zip(outline.col_partition.parts, row):
+            if p == q and len(cell) == 1:
+                l = next(iter(cell))
+                if r_parts[l - 1] == p:
+                    blocks.append((l, x, y))
+            y += q
+        x += p
+    return blocks
 
 
 def lift(outline: OutlineRectangle) -> LatinSquare:
@@ -604,9 +720,10 @@ def lift(outline: OutlineRectangle) -> LatinSquare:
 
     Cuts the row classes, then the column classes, into power-of-two
     blocks; halves the columns to singletons, then the rows (by
-    transposing); then splits all symbols.  The result is deterministic,
-    and the round trip is exact: the output's reduction equals the input
-    cellwise.
+    transposing); then writes the pure blocks (:func:`_pure_blocks`) and
+    splits the rest of every symbol class.  The result is deterministic,
+    and the round trip is exact: the output's amalgamation equals the
+    input cellwise.
     """
     bad = validate_outline(outline)
     if bad:
@@ -618,12 +735,17 @@ def lift(outline: OutlineRectangle) -> LatinSquare:
     _split_rows_to_units(state)
     state.transpose()
     _split_rows_to_units(state)
-    labels = [[next(iter(cell)) for cell in row] for row in state.cells]
-    grid = _split_symbols_to_units(labels, state.sym_parts)
+    # every cell is a one-symbol map now, and min reads its symbol
+    labels = [list(map(min, row)) for row in state.cells]
+    del state
+    grid = _split_symbols_to_units(labels, outline.sym_partition.parts,
+                                   _pure_blocks(outline))
     square = LatinSquare(grid)
-    check = core_reduce(square, outline.row_partition, outline.col_partition,
-                        outline.sym_partition)
-    if check.counts != outline.counts:
+    got = _amalgamate_labels(
+        grid, _group_map(outline.row_partition.parts),
+        _group_map(outline.col_partition.parts),
+        _group_map(outline.sym_partition.parts), outline.shape)
+    if any(tuple(mine) != row for mine, row in zip(got, outline.counts)):
         raise InternalError("lift round trip failed to reproduce the outline")
     return square
 
@@ -634,8 +756,9 @@ def lift_to_realization(outline: OutlineRectangle, partition: Partition,
 
     The diagonal condition forces every symbol-class-i occurrence in row
     class i into the diagonal cell, so the lifted square carries block i as a
-    subsquare on rows, columns and symbols P[i]; the certificate is returned
-    alongside and re-verified.
+    subsquare on rows, columns and symbols P[i]; the lift writes it as the
+    cyclic square on them.  The certificate is returned alongside and
+    re-verified.
     """
     if (outline.row_partition != partition or
             outline.col_partition != partition or
@@ -659,23 +782,50 @@ def lift_labels_to_realization(labels: list[list[int]], partition: Partition,
     columns whose cell (i, j) holds ``labels[i-1][j-1]`` once, without
     building it: only the symbol phase of :func:`lift` runs.
 
+    The labels 1..L are read off the grid's first row as a partition that
+    must split the parts of ``partition`` into consecutive labels: label l
+    stands for r_l symbols, and the labels of part i for its h_i symbols.
+    So a grid of class labels (r_l = h_l) and a finer one both lift; a
+    label held once per line takes one symbol, in the transversal write.
     The grid is a construction's output, so a grid whose lines do not hold
-    each label l exactly h_l times (the outline conditions), or whose
-    diagonal block i holds a label other than i, raises
-    :class:`InternalError` before any symbol is placed.  The round trip,
-    :func:`lift`'s last check, is here that every cell's symbol lies in its
-    label's class.
+    each label l exactly r_l times (the outline conditions), or whose
+    diagonal block i holds a label of another part, raises
+    :class:`InternalError` before any symbol is placed.  A diagonal block
+    holding one label is written as the cyclic square on its symbols.  The
+    round trip, :func:`lift`'s last check, is here that every cell's symbol
+    lies in its label's class.
     """
-    _check_labels(labels, partition)
+    held = Counter(labels[0])
+    label_parts = [held[l] for l in range(1, len(held) + 1)]
+    # the labels of part i run up to the label whose symbols end where the
+    # part's do
+    ends = list(accumulate(partition.parts))
+    last_label = {s: l for l, s in enumerate(accumulate(label_parts),
+                                             start=1)}
+    if sorted(held) != list(range(1, len(held) + 1)) or \
+            sum(label_parts) != ends[-1] or \
+            any(end not in last_label for end in ends):
+        raise InternalError(
+            f"the label grid's first row does not split {partition} into "
+            f"consecutive labels")
+    _check_labels(labels, Partition(label_parts))
+    blocks = []
     lo = 0
-    for i, h in enumerate(partition.parts, start=1):
-        own = [i] * h
-        if any(row[lo:lo + h] != own for row in labels[lo:lo + h]):
-            raise InternalError(
-                f"diagonal block {i} of the label grid holds another label")
+    a = 1
+    for i, (h, end) in enumerate(zip(partition.parts, ends), start=1):
+        b = last_label[end]
+        for row in labels[lo:lo + h]:
+            seg = row[lo:lo + h]
+            if min(seg) < a or max(seg) > b:
+                raise InternalError(
+                    f"diagonal block {i} of the label grid holds another "
+                    f"label")
+        if a == b:
+            blocks.append((a, lo, lo))
         lo += h
-    grid = _split_symbols_to_units(labels, partition.parts)
-    class_of = _group_map(partition.parts)
+        a = b + 1
+    grid = _split_symbols_to_units(labels, label_parts, blocks)
+    class_of = _group_map(label_parts)
     for row, want in zip(grid, labels):
         if list(map(class_of.__getitem__, row)) != want:
             raise InternalError(

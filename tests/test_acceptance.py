@@ -36,11 +36,11 @@ from util import random_latin_square, random_partition
 # of criterion 2; a change that alters any square or trace on purpose re-pins
 # these and says why
 SWEEP_DIGEST = \
-    "d59b580b803e6927ad77af21889d710460d5e249e2ae7348b1e88576fb8a0631"
+    "dccfcf6ef79cd8f0e46dd9a4e911f4b16a08cf54ee66e5b7d219dede2427a8c6"
 SWEEP_TRACE_DIGEST = \
     "b2780af26489feb33a36c7a3e3d4d2fdb962d256fbe7feba6b61a92011290f8a"
 ROUND_TRIP_DIGEST = \
-    "f965a457d6278968f0dc9a4f9b7a87437435d1004f3a9c8c0df08bdff427b9be"
+    "d4300ad540ad8c962230e8b42bddfa111c606ab461c0e2405d9fb9e3e70426c9"
 
 
 @contextmanager

@@ -14,6 +14,7 @@ from pils import (
     verify_realization,
     verify_subsquares,
 )
+from pils.oracle import enumerate_partitions
 
 
 class TestSelectT:
@@ -184,6 +185,25 @@ class TestConstructMain:
         monkeypatch.setattr(engine, "_m_equal_outline", broken)
         with pytest.raises(InternalError, match="injected"):
             construct_main(Partition((4, 4, 4, 2) + (1,) * 10))
+
+
+def test_diagonal_blocks_are_cyclic():
+    # each diagonal block is a whole component of its class once the lines
+    # are units, and the lift writes it as the cyclic square on its symbols
+    built = 0
+    for n in range(3, 19):
+        for P in enumerate_partitions(n):
+            if P.k < 3 or P.part(1) != P.part(3):
+                continue
+            grid = construct_main(P)[0].grid
+            lo = 0
+            for h in P.parts:
+                assert [list(row[lo:lo + h]) for row in grid[lo:lo + h]] == \
+                    [[lo + (x + y) % h + 1 for y in range(h)]
+                     for x in range(h)], (P, h)
+                lo += h
+            built += 1
+    assert built == 153
 
 
 class TestConstructIls:

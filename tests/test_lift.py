@@ -13,6 +13,7 @@ from pils import (
     Partition,
     PreconditionError,
     RealizationError,
+    construct_main,
     is_latin,
     lift,
     lift_labels_to_realization,
@@ -22,9 +23,10 @@ from pils import (
     validate_outline,
     verify_realization,
 )
-from pils.circulant import odd_r_labels
+from pils.circulant import _circulant_labels, odd_r_labels, odd_r_seed_labels
 from pils.lift import (
     _halve,
+    _pair_walk,
     _peel_class,
     _perfect_matching,
     _row_extraction,
@@ -211,6 +213,13 @@ class TestSplits:
         grid = _split_symbols_to_units([[1, 1], [1, 1]], (2,))
         assert is_latin(grid)
 
+    def test_symbol_phase_checks_each_row_of_a_class(self):
+        # label 1 twice in row 1 and not in row 2: the class lists hold
+        # each row's columns in turn, so a row off its degree is refused
+        with pytest.raises(InternalError,
+                           match="class 1 is not 1-regular on its rows"):
+            _split_symbols_to_units([[1, 1], [2, 2]], (1, 1))
+
     def test_every_split_output_validates(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -247,6 +256,42 @@ class TestLift:
         whole = Partition([5])
         outline = OutlineRectangle(whole, whole, whole, [[(1,) * 25]])
         assert lift(outline).order == 5
+
+    def test_pure_cells_are_written_as_cyclic_squares(self):
+        # every cell holds one class l, with p_I = q_J = r_l = 2: each is a
+        # whole component of its class, written as (x + y) mod 2 on l's
+        # symbols
+        P = Partition([2, 2, 2])
+        cells = [[(i,) * 4 if i == j else (6 - i - j,) * 4 for j in (1, 2, 3)]
+                 for i in (1, 2, 3)]
+        square = lift(OutlineRectangle(P, P, P, cells))
+        for I in range(3):
+            for J in range(3):
+                base = 2 * (cells[I][J][0] - 1)
+                assert [list(row[2 * J:2 * J + 2])
+                        for row in square.grid[2 * I:2 * I + 2]] == \
+                    [[base + 1, base + 2], [base + 2, base + 1]]
+        whole = Partition([5])
+        outline = OutlineRectangle(whole, whole, whole, [[(1,) * 25]])
+        assert lift(outline).grid == tuple(
+            tuple((x + y) % 5 + 1 for y in range(5)) for x in range(5))
+
+    def test_round_trip_check_catches_a_misplaced_symbol(self, monkeypatch):
+        # a symbol phase that swaps symbols 1 and 2 still gives a latin
+        # square, but one whose amalgamation is not the outline
+        lift_module = importlib.import_module("pils.lift")
+        split = lift_module._split_symbols_to_units
+
+        def swapped(*args):
+            return [[{1: 2, 2: 1}.get(v, v) for v in row]
+                    for row in split(*args)]
+
+        monkeypatch.setattr(lift_module, "_split_symbols_to_units", swapped)
+        ones = Partition([1, 1, 1])
+        outline = reduce(random_latin_square(3, random.Random(1)), ones,
+                         ones, Partition([1, 2]))
+        with pytest.raises(InternalError, match="round trip failed"):
+            lift(outline)
 
     def test_lift_is_deterministic(self):
         outline = reference_outline()
@@ -360,6 +405,64 @@ class TestHalve:
             _halve([{1: 1, 2: 1}, {1: 1, 3: 1}], singles)
 
 
+def bucket_pair_walk(right, n):
+    """The pairing walk as it was written with a bucket list per right
+    vertex: edges at a vertex listed in increasing order and paired
+    consecutively, then the same walk."""
+    at = [[] for _ in range(n)]
+    for e, v in enumerate(right):
+        at[v].append(e)
+    by_right = [e for edges in at for e in edges]
+    partner = [0] * len(right)
+    for e, f in zip(by_right[::2], by_right[1::2]):
+        partner[e] = f
+        partner[f] = e
+    back = [-1] * (len(right) // 2)
+    for q in range(len(back)):
+        if back[q] >= 0:
+            continue
+        start = e = 2 * q
+        while True:
+            f = partner[e]
+            back[f // 2] = f
+            e = f ^ 1
+            if e == start:
+                break
+    return back
+
+
+@st.composite
+def even_multigraphs(draw):
+    """(n, right) of a bipartite multigraph whose right vertices, in
+    [0, n), all have even degree: a drawn list of vertices, doubled and
+    shuffled; edges 2q and 2q + 1 share a left vertex."""
+    n = draw(st.integers(1, 12), label="n")
+    drawn = draw(st.lists(st.integers(0, n - 1), max_size=40), label="drawn")
+    rng = draw(st.randoms(use_true_random=False))
+    right = drawn * 2
+    rng.shuffle(right)
+    return n, right
+
+
+class TestPairWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(case=even_multigraphs())
+    def test_same_walk_as_bucket_lists(self, case):
+        n, right = case
+        back, pairs = _pair_walk(right, n)
+        assert back == bucket_pair_walk(right, n)
+        assert pairs == [right.count(v) // 2 for v in range(n)]
+        # one edge of every pair is walked back, half of each vertex's
+        assert [back[q] // 2 for q in range(len(back))] == \
+            list(range(len(back)))
+        assert Counter(right[e] for e in back) == \
+            Counter({v: c // 2 for v, c in Counter(right).items()})
+
+    def test_odd_vertices_stop_the_walk(self):
+        back, pairs = _pair_walk([0, 1, 1, 2], 3)
+        assert back is None and pairs == [-1, 1, -1]
+
+
 @st.composite
 def regular_classes(draw):
     """(n, r, adj) of a random r-regular simple bipartite graph on n rows
@@ -400,6 +503,14 @@ class TestPeelClass:
         with pytest.raises(InternalError,
                            match="did not resolve to a transversal"):
             _peel_class([[0] for _ in out], 1, (1,), out)
+
+    def test_repeated_column_fails_the_column_check(self):
+        # both rows hold class 1 twice in column 0: every degree is even,
+        # but column 0 has degree 4 and column 1 none
+        out = [[0, 0], [0, 0]]
+        with pytest.raises(InternalError,
+                           match="class 1 is not 2-regular on its columns"):
+            _peel_class([[0, 0], [0, 0]], 1, (1, 2), out)
 
     @settings(max_examples=200, deadline=None)
     @given(case=regular_classes())
@@ -471,6 +582,37 @@ class TestLiftLabelsToRealization:
         # and it amalgamates to the seed's outline square
         assert reduce(square, LABEL_ROUTE, LABEL_ROUTE, LABEL_ROUTE).counts \
             == odd_r_outline(LABEL_ROUTE).counts
+
+    @pytest.mark.parametrize("parts", [
+        LABEL_ROUTE.parts,
+        (34, 34, 34, 29, 24, 22, 22, 20, 18, 18, 18, 16, 16, 16, 10),
+    ])
+    def test_seed_symbols_are_kept(self, parts):
+        # both are lifted from the seed's label grid; labels 1..3h of the
+        # circulant seed are single symbols, and outside the 3h x 3h corner
+        # the square holds them where the seed does
+        P = Partition(parts)
+        h = P.part(1)
+        seed, _, _ = _circulant_labels(Partition((3 * h,) + P.parts[3:]))
+        grid = construct_main(P)[0].grid
+        kept = [(x, y) for x, row in enumerate(seed) for y, v in enumerate(row)
+                if v <= 3 * h and max(x, y) >= 3 * h]
+        # the corner's lines hold them only inside it, the others once each
+        assert len(kept) == 3 * h * (P.n - 3 * h)
+        assert all(grid[x][y] == seed[x][y] for x, y in kept)
+
+    def test_the_seed_grid_lifts_over_its_finer_labels(self):
+        labels = odd_r_seed_labels(LABEL_ROUTE)
+        square, _ = lift_labels_to_realization(labels, LABEL_ROUTE)
+        assert square.grid == construct_main(LABEL_ROUTE)[0].grid
+        # labels 1..3h are single symbols, so the corner is kept as is
+        assert [list(row[:9]) for row in square.grid[:9]] == \
+            [row[:9] for row in labels[:9]]
+        # its labels do not split (3^6, 1^4) into consecutive labels: the
+        # cut after symbol 12 falls inside label 11, symbols 12 and 13
+        with pytest.raises(InternalError, match="consecutive labels"):
+            lift_labels_to_realization(labels,
+                                       Partition((3,) * 6 + (1,) * 4))
 
     def test_swapped_labels_raise_before_the_symbol_phase(self, monkeypatch):
         lift_module = importlib.import_module("pils.lift")
