@@ -131,7 +131,7 @@ def build_circulant_outline(partition: Partition,
     is the label grid of :func:`_circulant_labels` with each label held
     once per cell, validated as an outline rectangle.
     """
-    labels, sym_partition, triple_sets = _circulant_labels(partition)
+    labels, sym_partition = _circulant_labels(partition)
     ones = Partition([1] * partition.n)
     singles = [{v: 1} for v in range(sym_partition.k + 1)]
     outline = OutlineRectangle(
@@ -140,13 +140,13 @@ def build_circulant_outline(partition: Partition,
     bad = validate_outline(outline)
     if bad:
         raise InternalError(f"circulant outline invalid: {bad[0]}")
-    return outline, triple_sets
+    return outline, _triple_sets(partition)
 
 
 def _circulant_labels(partition: Partition,
-                      ) -> tuple[list[list[int]], Partition, list[TripleSet]]:
-    """The n x n label grid of :func:`build_circulant_outline`, its symbol
-    partition (1^h1, h2, ..., hk) and its triple sets.
+                      ) -> tuple[list[list[int]], Partition]:
+    """The n x n label grid of :func:`build_circulant_outline` and its
+    symbol partition (1^h1, h2, ..., hk).
 
     The grid is checked by :func:`_check_labels`, the outline conditions of
     its singleton outline, so callers amalgamate straight from it.
@@ -238,17 +238,32 @@ def _circulant_labels(partition: Partition,
 
     sym_partition = Partition([1] * h1 + list(parts[1:]))
     _check_labels(labels, sym_partition)
+    return labels, sym_partition
 
+
+def _triple_sets(partition: Partition, count: int | None = None,
+                 ) -> list[TripleSet]:
+    """The triple sets of the circulant rectangle for ``partition``, one
+    per free difference, or the first ``count`` of them.
+
+    The set of free difference d holds (h1 + a, h1 + b, z) for every a in
+    [t], with b = a + d and z the label of the body cell (a, b): the group
+    symbol of the tail block that the back-circulant symbol (a + b) / 2
+    falls in.
+    """
+    params = circulant_params(partition)
+    h1, t = partition.part(1), params.t
+    inv2 = (t + 1) // 2
+    label = [h1 + g for g in _group_map(partition.parts[1:])]
     triple_sets = []
-    for idx in range(1, params.free_count + 1):
-        dv = params.d[idx - 1]
+    for idx, dv in enumerate(params.d[:params.free_count][:count], start=1):
         triples = []
         for a in range(1, t + 1):
             b = (a + dv - 1) % t + 1
-            z = label_of[((a + b) * inv2 - 1) % t + 1 + h1]
+            z = label[((a + b) * inv2 - 1) % t + 1]
             triples.append((h1 + a, h1 + b, z))
         triple_sets.append(TripleSet(idx, tuple(triples)))
-    return labels, sym_partition, triple_sets
+    return triple_sets
 
 
 def check_circulant_properties(outline: OutlineRectangle,
@@ -312,8 +327,9 @@ def odd_r_outline(partition: Partition) -> OutlineRectangle:
     3 x 3 corner is the symmetric pattern with h^2 copies of 3, 2, 1 on the
     cells (1,2)/(2,1), (1,3)/(3,1), (2,3)/(3,2) respectively, so both
     orientations offer beta = h^2 to a later blow-up.  It is the
-    amalgamation of :func:`odd_r_labels` along the partition's blocks, here
-    made from the finer grid of :func:`odd_r_seed_labels`.
+    amalgamation of the grid of :func:`odd_r_seed_labels` along the
+    partition's blocks, its labels grouped into classes by
+    :func:`_odd_r_classes`.
     """
     labels = odd_r_seed_labels(partition)
     groups = _group_map(partition.parts)
@@ -339,19 +355,6 @@ def _odd_r_classes(partition: Partition) -> list[int]:
         list(range(4, partition.k + 1))
 
 
-def odd_r_labels(partition: Partition) -> list[list[int]]:
-    """The n x n label grid of :func:`odd_r_outline`, before amalgamation.
-
-    Cell (x, y) holds the class of the seed's symbol there: the grid of
-    :func:`odd_r_seed_labels` with labels 1..3h grouped by h into classes
-    1, 2, 3 and its tail labels into classes 4..k, so its 3h x 3h corner is
-    the 3 x 3 block pattern of the outline.  Rows and columns are units.
-    """
-    classes = _odd_r_classes(partition)
-    return [list(map(classes.__getitem__, row))
-            for row in odd_r_seed_labels(partition)]
-
-
 def odd_r_seed_labels(partition: Partition) -> list[list[int]]:
     """The seed of :func:`odd_r_outline` as an n x n label grid over the
     symbol partition (1^{3h}, h4, ..., hk), finer than its classes.
@@ -375,7 +378,7 @@ def odd_r_seed_labels(partition: Partition) -> list[list[int]]:
     if not (parts[0] == parts[1] == parts[2]):
         raise PreconditionError("first three parts must be equal")
 
-    labels, _, _ = _circulant_labels(Partition((3 * h,) + parts[3:]))
+    labels, _ = _circulant_labels(Partition((3 * h,) + parts[3:]))
     cyclic = [list(range(c * h + 1, c * h + h + 1)) * 2 for c in range(3)]
     corner = ((1, 3, 2), (3, 2, 1), (2, 1, 3))
     for x in range(3 * h):
@@ -427,8 +430,9 @@ def even_r_outline(partition: Partition,
         circ_tail.append(hk - 1)
     if not circ_tail:
         raise PreconditionError("tail too short for the even construction")
-    labels, circ_syms, triple_sets = _circulant_labels(
-        Partition([3 * h + 1] + circ_tail))
+    circ = Partition([3 * h + 1] + circ_tail)
+    labels, circ_syms = _circulant_labels(circ)
+    triple_sets = _triple_sets(circ, 2)
     if len(triple_sets) < 2:
         raise InternalError("even construction needs two free differences")
     R = r + 3  # the extra row/column carrying the widowed subsquare line

@@ -4,13 +4,17 @@ A reduction of a latin square modulo (P, Q, R) is an outline rectangle, and
 every outline rectangle arises this way.  The classical existence statement
 gives no algorithm, so this module supplies one.  First every row class,
 then every column class, is cut into power-of-two blocks, largest first.
-Each cut is an exact-degree subgraph extraction, solved as a feasible-flow
-problem with one left vertex per cross class or block, so no flow solve is
-larger than the outline.  Then every column class is split into units,
-then every row class (on the transpose), then every symbol class.  A line
-class of even size p is a multigraph on (cross class) x (symbol class)
-whose every degree is a multiple of p, so an Euler partition halves it
-exactly.  Once every line is a singleton, each symbol class is an r-regular
+Each cut is an exact-degree subgraph extraction, a transport problem with
+one left vertex per cross class or block, so none is larger than the
+outline: a greedy fill, then breadth-first augmenting paths for what it
+left short.  Then every column class is split into units, then every row
+class (on the transpose), then every symbol class.  A line class of even
+size p is a multigraph on (cross class) x (symbol class) whose every
+degree is a multiple of p, so an Euler partition halves it exactly.  The
+row blocks of the last line phase, over unit columns, are halved on their
+count maps only while they have more than ``_FLAT_ROWS`` rows; then each
+is listed flat, one entry per symbol class copy, and halved down to rows
+of labels.  Once every line is a singleton, each symbol class is an r-regular
 bipartite graph on rows x columns.  An outline cell (I, J) that holds one
 class l only, with p_I = q_J = r_l, holds every copy of l in its row and
 column classes, so its r_l x r_l cells are then a whole component of the
@@ -18,8 +22,8 @@ class: a pure block, written directly as the cyclic square on l's symbols.
 Every diagonal cell of a construction's outline square is one.  The rest
 of each class is halved the same way, into two (r/2)-regular classes, down
 to transversals; an odd degree first gives one symbol a perfect matching.
-Both halvings run one pairing walk, :func:`_pair_walk`, on the flat list of
-each edge's right vertex.  On a valid outline rectangle no extraction,
+Every halving runs one pairing walk, :func:`_pair_walk`, on the flat list
+of each edge's right vertex.  On a valid outline rectangle no extraction,
 halving or matching can fail; any failure is an internal invariant
 violation.
 
@@ -40,14 +44,15 @@ with deterministic solvers that read cells in symbol order, so lifting is
 a pure function of its input.
 
 Every cell is the outline's own ``{symbol: count}`` map, which is the
-sparse multiplicity row the flow solver takes (symbol l is right vertex l;
-vertex 0 is an unused placeholder), so a split neither expands a cell to
-h_i * h_j entries nor recounts one.
+sparse multiplicity row the extraction takes (symbol l is right vertex l;
+vertex 0 is an unused placeholder), so a cut or a count-map halving
+neither expands a cell to h_i * h_j entries nor recounts one; only the
+last halvings, at most ``_FLAT_ROWS`` entries per cell, list them.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from itertools import accumulate, chain
 from operator import add
 from typing import Sequence
@@ -76,8 +81,8 @@ class ExtractionInfeasible(InternalError):
     ``left_set`` is a set of left vertices (1-based) whose demand exceeds the
     capacity of the edges leaving it, witnessing a violated cut.
     ``right_set`` (also 1-based) is the set of right vertices on the source
-    side of that cut: those reachable from the source in the residual
-    network of a maximum flow.
+    side of that cut: those reachable from the rows left short in the
+    residual network of a maximum extraction.
     """
 
     def __init__(self, message: str, left_set: frozenset[int],
@@ -88,89 +93,7 @@ class ExtractionInfeasible(InternalError):
 
 
 # ---------------------------------------------------------------------------
-# Max flow (Dinic, deterministic adjacency order)
-
-
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, capacity: int) -> int:
-        e = len(self.to)
-        self.adj[u].append(e)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.adj[v].append(e + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return e
-
-    def max_flow(self, s: int, t: int) -> int:
-        to, cap, adj = self.to, self.cap, self.adj
-        total = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                lu = level[u] + 1
-                for e in adj[u]:
-                    v = to[e]
-                    if cap[e] > 0 and level[v] < 0:
-                        level[v] = lu
-                        queue.append(v)
-            if level[t] < 0:
-                return total
-            it = [0] * self.n
-            nodes = [s]
-            edges: list[int] = []
-            while nodes:
-                u = nodes[-1]
-                if u == t:
-                    aug = min(cap[e] for e in edges)
-                    total += aug
-                    retreat = 0
-                    for idx, e in enumerate(edges):
-                        cap[e] -= aug
-                        cap[e ^ 1] += aug
-                        if cap[e] == 0 and retreat == 0:
-                            retreat = idx + 1
-                    del edges[retreat - 1:]
-                    del nodes[retreat:]
-                    continue
-                advanced = False
-                lu = level[u] + 1
-                row = adj[u]
-                while it[u] < len(row):
-                    e = row[it[u]]
-                    v = to[e]
-                    if cap[e] > 0 and level[v] == lu:
-                        nodes.append(v)
-                        edges.append(e)
-                        advanced = True
-                        break
-                    it[u] += 1
-                if not advanced:
-                    level[u] = -1
-                    nodes.pop()
-                    if edges:
-                        edges.pop()
-
-    def reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in self.adj[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+# Transport by augmenting paths
 
 
 def _solve_extraction(mult_rows: Sequence[dict[int, int]], left_targets:
@@ -181,8 +104,17 @@ def _solve_extraction(mult_rows: Sequence[dict[int, int]], left_targets:
     ``mult_rows[i]`` maps right vertex (0-based) to multiplicity.  Returns
     rows of the extracted sub-multigraph in the same shape, or raises
     :class:`ExtractionInfeasible` with a violated cut.
+
+    Each row first takes what it can in right-vertex order, as much of each
+    entry as both ends still want.  Each row left short then gets
+    breadth-first augmenting paths: a path steps forward along an entry
+    not yet taken in full and back through an entry taken, and ends at a
+    right vertex that still wants more.  A row that finds no path never
+    finds one later, so once every row has been tried the extraction is a
+    maximum flow; if it falls short, the vertices reachable from the short
+    rows are the source side of a minimum cut.
     """
-    nl, nr = len(left_targets), len(right_targets)
+    nl = len(left_targets)
     need = sum(left_targets)
     if need != sum(right_targets):
         raise PreconditionError(
@@ -190,39 +122,91 @@ def _solve_extraction(mult_rows: Sequence[dict[int, int]], left_targets:
     if need == 0:
         return [dict() for _ in range(nl)]
 
-    source = nl + nr
-    sink = source + 1
-    net = _Dinic(sink + 1)
-    for i, t in enumerate(left_targets):
-        net.add_edge(source, i, t)
-    mid_edges: list[list[tuple[int, int]]] = []
-    for i, row in enumerate(mult_rows):
-        here = []
-        for j in sorted(row):
-            m = row[j]
+    order = [sorted(j for j, m in row.items() if m > 0) for row in mult_rows]
+    room = list(right_targets)  # what each right vertex still wants
+    short = []  # what each row still wants
+    taken: list[dict[int, int]] = []
+    for row, js, want in zip(mult_rows, order, left_targets):
+        got = {}
+        for j in js:
+            if not want:
+                break
+            m = min(row[j], want, room[j])
             if m > 0:
-                here.append((j, net.add_edge(i, nl + j, m)))
-        mid_edges.append(here)
-    for j, t in enumerate(right_targets):
-        net.add_edge(nl + j, sink, t)
-    flow = net.max_flow(source, sink)
-    if flow != need:
-        reach = net.reachable(source)
-        left_set = frozenset(i + 1 for i in range(nl) if i in reach)
-        right_set = frozenset(j + 1 for j in range(nr) if nl + j in reach)
+                got[j] = m
+                room[j] -= m
+                want -= m
+        taken.append(got)
+        short.append(want)
+    if not any(short):
+        return taken
+
+    holders: list[list[int]] = [[] for _ in room]  # rows with an entry at j
+    for i, js in enumerate(order):
+        for j in js:
+            holders[j].append(i)
+
+    def search(starts: list[int]) -> tuple[dict[int, int], dict[int, int],
+                                           int]:
+        """Breadth first from the rows ``starts``: ``reached_by[j]`` is the
+        row whose forward step reached right vertex j, ``via[x]`` the right
+        vertex row x was reached back through (-1 for a start), and the
+        last item the first right vertex reached that still wants more, or
+        -1 if none is reachable."""
+        reached_by: dict[int, int] = {}
+        via = dict.fromkeys(starts, -1)
+        for x in starts:  # the loop reaches appended rows
+            row, got = mult_rows[x], taken[x]
+            for j in order[x]:
+                if j in reached_by or got.get(j, 0) == row[j]:
+                    continue
+                reached_by[j] = x
+                if room[j]:
+                    return reached_by, via, j
+                for y in holders[j]:
+                    if y not in via and taken[y].get(j):
+                        via[y] = j
+                        starts.append(y)
+        return reached_by, via, -1
+
+    for i in range(nl):
+        while short[i]:
+            reached_by, via, end = search([i])
+            if end < 0:
+                break
+            # the path back from ``end`` to row i, and what it can carry
+            amount = min(short[i], room[end])
+            j = end
+            while True:
+                x = reached_by[j]
+                amount = min(amount, mult_rows[x][j] - taken[x].get(j, 0))
+                if x == i:
+                    break
+                j = via[x]
+                amount = min(amount, taken[x][j])
+            j = end
+            while True:
+                x = reached_by[j]
+                got = taken[x]
+                got[j] = got.get(j, 0) + amount
+                if x == i:
+                    break
+                j = via[x]
+                got[j] -= amount
+                if not got[j]:
+                    del got[j]
+            room[end] -= amount
+            short[i] -= amount
+    if any(short):
+        # no right vertex that wants more is reachable from the short rows
+        reached_by, via, _ = search([i for i in range(nl) if short[i]])
+        left_set = frozenset(i + 1 for i in via)
+        right_set = frozenset(j + 1 for j in reached_by)
         raise ExtractionInfeasible(
-            f"degree targets infeasible: flow {flow} < demand {need}; "
-            f"violated cut isolates left vertices {sorted(left_set)}",
+            f"degree targets infeasible: flow {need - sum(short)} < demand "
+            f"{need}; violated cut isolates left vertices {sorted(left_set)}",
             left_set, right_set)
-    out: list[dict[int, int]] = []
-    for i, here in enumerate(mid_edges):
-        taken = {}
-        for j, e in here:
-            used = mult_rows[i][j] - net.cap[e]
-            if used:
-                taken[j] = used
-        out.append(taken)
-    return out
+    return taken
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +281,7 @@ class _LiftState:
 
 
 def _pair_walk(right: Sequence[int], n: int,
-               ) -> tuple[list[int] | None, list[int]]:
+               ) -> tuple[list[int] | None, list[int] | None, list[int]]:
     """Split a bipartite multigraph of even degrees into two halves, each
     with half of every vertex's degree (Gabow 1976; Alon 2003).
 
@@ -308,12 +292,13 @@ def _pair_walk(right: Sequence[int], n: int,
     as closed trails, each starting at the lowest unwalked pair by walking
     edge 2q from left to right.
 
-    Returns ``(back, pairs)``: ``pairs[v]`` is the number of pairs at right
-    vertex v, and ``back`` lists, for every pair q, its edge walked back,
-    from right to left; the other, ``back[q] ^ 1``, is walked from left to
-    right.  (The edges walked back are the stored partners, so the list
-    adds no int objects.)  A right vertex of odd degree has ``pairs[v]`` =
-    -1, and then no walk is made and ``back`` is None; the callers raise.
+    Returns ``(first, second, pairs)``: for every pair q, ``first[q]`` is
+    the right vertex of its edge walked from left to right and
+    ``second[q]`` that of its edge walked back; ``pairs[v]`` is the number
+    of pairs at right vertex v.  So each half lists its right vertices
+    grouped by left vertex as ``right`` does, at half the length.  A right
+    vertex of odd degree has ``pairs[v]`` = -1, and then no walk is made
+    and both halves are None; the callers raise.
     """
     partner = [0] * len(right)
     open_edge = [-1] * n
@@ -331,21 +316,24 @@ def _pair_walk(right: Sequence[int], n: int,
         for v, f in enumerate(open_edge):
             if f >= 0:
                 pairs[v] = -1
-        return None, pairs
-    back = [-1] * (len(right) >> 1)
-    for q, f in enumerate(back):
-        if f >= 0:
+        return None, None, pairs
+    first = [-1] * (len(right) >> 1)
+    second = first[:]
+    for q, v in enumerate(first):
+        if v >= 0:
             continue
-        # edge e is walked left to right; its right partner f is walked
-        # back, and the left partner of f is walked next
+        # edge e is walked left to right, to v; its partner at v is walked
+        # back, and the other edge of that partner's pair p is walked next
         start = e = q << 1
+        v = right[e]
         while True:
-            f = partner[e]
-            back[f >> 1] = f
-            e = f ^ 1
+            e = partner[e] ^ 1
+            p = e >> 1
+            second[p] = v
+            v = first[p] = right[e]
             if e == start:
                 break
-    return back, pairs
+    return first, second, pairs
 
 
 def _halve(cells: Sequence[dict[int, int]], singles: Sequence[dict[int, int]],
@@ -399,28 +387,26 @@ def _halve(cells: Sequence[dict[int, int]], singles: Sequence[dict[int, int]],
         second.append(half and dict(half))
         spans.append((c, len(edge_sym) >> 1))
         edge_sym += odd
-    back, pairs = _pair_walk(edge_sym, len(singles))
-    if back is None:
+    out, back, pairs = _pair_walk(edge_sym, len(singles))
+    if out is None:
         raise InternalError(
             f"symbol {pairs.index(-1)} of a line class being halved has odd "
             f"residual degree; the outline being lifted is corrupt")
-    spans.append((len(cells), len(back)))
+    spans.append((len(cells), len(out)))
     for (c, lo), (_, hi) in zip(spans, spans[1:]):
         a = first[c]
         if a is None:
             if hi - lo == 1:
-                e = back[lo]
-                first[c] = singles[edge_sym[e ^ 1]]
-                second[c] = singles[edge_sym[e]]
+                first[c] = singles[out[lo]]
+                second[c] = singles[back[lo]]
                 continue
             a = first[c] = {}
             b = second[c] = {}
         else:
             b = second[c]
-        for e in back[lo:hi]:
-            s = edge_sym[e ^ 1]
+        for s in out[lo:hi]:
             a[s] = a.get(s, 0) + 1
-            s = edge_sym[e]
+        for s in back[lo:hi]:
             b[s] = b.get(s, 0) + 1
     return first, second
 
@@ -440,8 +426,8 @@ def _split_class(cells: Sequence[dict[int, int]], p: int,
 def _cut_rows_to_blocks(state: _LiftState) -> None:
     """Cut every row class into power-of-two blocks, largest first.
 
-    A class of size p takes popcount(p) - 1 flow solves, each on one cell
-    per column class, so no solve is larger than the outline.
+    A class of size p takes popcount(p) - 1 extractions, each on one cell
+    per column class, so none is larger than the outline.
     """
     cells: list[Sequence[dict[int, int]]] = []
     parts: list[int] = []
@@ -466,6 +452,70 @@ def _split_rows_to_units(state: _LiftState) -> None:
         _split_class(row, p, state.singles, cells)
     state.cells = cells
     state.row_parts = [1] * len(cells)
+
+
+# A row block of at most this many rows finishes the last line phase on a
+# flat list; a larger one halves its count maps first, which skip the
+# entries held an even number of times.  On the order-1000 build (200^3
+# 100^3 50^2; 2 cores, Python 3.11, fastest of five runs, in two sets)
+# that phase took 0.79-0.87 s with 8, 1.08-1.13 s with count maps down to
+# single rows and 1.28-1.59 s with every block flat.
+_FLAT_ROWS = 8
+
+
+def _split_rows_to_labels(state: _LiftState) -> list[list[int]]:
+    """Halve every row class, each a power of two, down to unit rows, when
+    every column is a unit; returns the grid of symbol classes.
+
+    A block of more than ``_FLAT_ROWS`` rows is halved by :func:`_halve`.
+    Each smaller one lists, cell by cell in symbol order, every symbol
+    class its cells hold, so that cell c of a block of p rows owns entries
+    ``c*p .. c*p + p - 1``, and :func:`_pair_walk` halves that flat list
+    down to label rows, as :func:`_halve_class` halves a symbol class.
+    """
+    labels: list[list[int]] = []
+    for row, p in zip(state.cells, state.row_parts):
+        _label_block(row, p, state.singles, labels)
+    return labels
+
+
+def _label_block(cells: Sequence[dict[int, int]], p: int,
+                 singles: Sequence[dict[int, int]],
+                 labels: list[list[int]]) -> None:
+    """Append the ``p`` label rows of a row block of size ``p``, a power of
+    two, over unit columns to ``labels``."""
+    if p > _FLAT_ROWS:
+        for half in _halve(cells, singles):
+            _label_block(half, p >> 1, singles, labels)
+        return
+    flat: list[int] = []
+    for cell in cells:
+        for s in cell if len(cell) == 1 else sorted(cell):
+            m = cell[s]
+            if m == 1:
+                flat.append(s)
+            else:
+                flat += [s] * m
+    if len(flat) != p * len(cells):
+        raise InternalError(
+            f"a row block of {p} rows has a cell of another size; the "
+            f"outline being lifted is corrupt")
+    halves = [flat]
+    while p > 1:
+        halves = [half for flat in halves
+                  for half in _flat_halves(flat, len(singles))]
+        p >>= 1
+    labels += halves
+
+
+def _flat_halves(flat: list[int], n: int) -> tuple[list[int], list[int]]:
+    """The two halves :func:`_pair_walk` makes of a flat row block."""
+    first, second, pairs = _pair_walk(flat, n)
+    if first is None:
+        raise InternalError(
+            f"symbol {pairs.index(-1)} of a row block being halved has odd "
+            f"degree; the outline being lifted is corrupt")
+    return first, second
 
 
 def _perfect_matching(adj: list[list[int]], n: int) -> list[int]:
@@ -600,20 +650,17 @@ def _halve_class(cells: list[int], n: int, l: int, symbols: Sequence[int],
     """
     r = len(symbols)
     h = r >> 1
-    back, pairs = _pair_walk(cells, n)
-    if back is None or not set(pairs) <= {0, h}:
+    first, second, pairs = _pair_walk(cells, n)
+    if first is None or not set(pairs) <= {0, h}:
         raise InternalError(
             f"class {l} is not {r}-regular on its columns; the outline "
             f"being lifted is corrupt")
     if h == 1:
         a, b = symbols
-        for row, e in zip(out, back):
-            row[cells[e ^ 1]] = a
-            row[cells[e]] = b
+        for row, x, y in zip(out, first, second):
+            row[x] = a
+            row[y] = b
         return
-    first = [cells[e ^ 1] for e in back]
-    second = [cells[e] for e in back]
-    del back, pairs  # free the walk's lists before the halves recurse
     for half, part in ((first, symbols[:h]), (second, symbols[h:])):
         if h & 1:
             _peel_class([half[i:i + h] for i in range(0, len(half), h)], l,
@@ -734,9 +781,7 @@ def lift(outline: OutlineRectangle) -> LatinSquare:
     _cut_rows_to_blocks(state)
     _split_rows_to_units(state)
     state.transpose()
-    _split_rows_to_units(state)
-    # every cell is a one-symbol map now, and min reads its symbol
-    labels = [list(map(min, row)) for row in state.cells]
+    labels = _split_rows_to_labels(state)
     del state
     grid = _split_symbols_to_units(labels, outline.sym_partition.parts,
                                    _pure_blocks(outline))

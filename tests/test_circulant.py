@@ -24,8 +24,8 @@ from pils.circulant import (
     mod_mul,
     mod_rep,
     mod_sub,
-    odd_r_labels,
 )
+from util import odd_r_labels
 
 
 class TestBackCirculant:
@@ -107,7 +107,7 @@ class TestBuildCirculant:
 
 class TestLabels:
     def test_two_labels_swapped_within_a_row_are_caught(self):
-        labels, syms, _ = _circulant_labels(Partition([3, 1, 1, 1, 1, 1]))
+        labels, syms = _circulant_labels(Partition([3, 1, 1, 1, 1, 1]))
         _check_labels(labels, syms)
         row = labels[0]
         j = next(j for j, v in enumerate(row) if v != row[0])

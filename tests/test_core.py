@@ -163,7 +163,7 @@ class TestReduce:
 class TestAmalgamateLabels:
     def test_amalgamation_matches_the_singleton_outline(self):
         rng = random.Random(5)
-        labels, syms, _ = _circulant_labels(Partition([5, 2, 1, 1, 1, 1, 1, 1, 1]))
+        labels, syms = _circulant_labels(Partition([5, 2, 1, 1, 1, 1, 1, 1, 1]))
         n = len(labels)
         row_map = [0] + [rng.randint(1, 4) for _ in range(n)]
         col_map = [0] + [rng.randint(1, 3) for _ in range(n)]

@@ -23,9 +23,10 @@ from pils import (
     validate_outline,
     verify_realization,
 )
-from pils.circulant import _circulant_labels, odd_r_labels, odd_r_seed_labels
+from pils.circulant import _circulant_labels, odd_r_seed_labels
 from pils.lift import (
     _halve,
+    _label_block,
     _pair_walk,
     _peel_class,
     _perfect_matching,
@@ -39,7 +40,7 @@ from reference import (
     REDUCTION_SYMS,
     REFERENCE_OUTLINE_CELLS,
 )
-from util import random_latin_square, random_partition
+from util import odd_r_labels, random_latin_square, random_partition
 
 
 def reference_outline() -> OutlineRectangle:
@@ -152,6 +153,13 @@ class TestExtraction:
             extract(mult, [1, 1, 1], [1, 1, 1])
         assert info.value.left_set == {1, 2}
         assert info.value.right_set == {1}
+
+    def test_greedy_start_is_undone_through_a_taken_entry(self):
+        # row 1 first takes right vertex 1, the only one row 2 has; the
+        # augmenting path from row 2 steps back through that entry and
+        # forward to right vertex 2
+        mult = [[1, 1], [1, 0]]
+        assert extract(mult, [1, 1], [1, 1]) == [[0, 1], [1, 0]]
 
     def test_random_extractions_match_targets(self):
         rng = random.Random(11)
@@ -348,6 +356,33 @@ class TestLift:
         assert max(lefts) <= sum(popcounts)
         assert set(lefts) == {Q.k, sum(popcounts[:P.k])}
 
+    def test_last_phase_halves_count_maps_then_flat_lists(self, monkeypatch):
+        # row classes 24 = 16 + 8 and 8: over unit columns the block of 16
+        # is halved on its count maps, and each block of 8 rows finishes on
+        # a flat list of 8 entries per column, halved three times
+        lift_module = importlib.import_module("pils.lift")
+        label_block = lift_module._label_block
+        flat_halves = lift_module._flat_halves
+        blocks, walks = [], []
+
+        def recording_block(cells, p, *args):
+            blocks.append(p)
+            return label_block(cells, p, *args)
+
+        def recording_walk(flat, n):
+            walks.append(len(flat))
+            return flat_halves(flat, n)
+
+        monkeypatch.setattr(lift_module, "_label_block", recording_block)
+        monkeypatch.setattr(lift_module, "_flat_halves", recording_walk)
+        P, Q, R = (Partition([24, 8]), Partition([16, 8, 5, 3]),
+                   Partition([9, 7, 8, 8]))
+        outline = reduce(random_latin_square(32, random.Random(24)), P, Q, R)
+        square = lift(outline)
+        assert reduce(square, P, Q, R).cells == outline.cells
+        assert blocks == [16, 8, 8, 8, 8]
+        assert walks == [256, 128, 128, 64, 64, 64, 64] * 4
+
     def test_lift_ignores_count_map_order(self):
         outline = reduce(random_latin_square(31, random.Random(32)),
                          Partition([31]), Partition([16, 8, 4, 2, 1]),
@@ -405,10 +440,33 @@ class TestHalve:
             _halve([{1: 1, 2: 1}, {1: 1, 3: 1}], singles)
 
 
+class TestLabelBlock:
+    def test_cell_of_another_size_raises(self):
+        singles = [{s: 1} for s in range(3)]
+        with pytest.raises(InternalError, match="cell of another size"):
+            _label_block([{1: 2}, {1: 1, 2: 2}], 2, singles, [])
+
+    def test_symbol_with_odd_degree_raises(self):
+        # each cell holds two symbols; symbols 2 and 3 once each
+        singles = [{s: 1} for s in range(4)]
+        with pytest.raises(InternalError, match="symbol 2 .*odd degree"):
+            _label_block([{1: 1, 2: 1}, {1: 1, 3: 1}], 2, singles, [])
+
+    def test_flat_block_gives_label_rows(self):
+        # two rows over three unit columns; each label row holds one of
+        # every cell's symbols
+        singles = [{s: 1} for s in range(4)]
+        labels = []
+        _label_block([{1: 1, 2: 1}, {2: 1, 3: 1}, {1: 1, 3: 1}], 2, singles,
+                     labels)
+        assert labels == [[1, 2, 3], [2, 3, 1]]
+
+
 def bucket_pair_walk(right, n):
     """The pairing walk as it was written with a bucket list per right
     vertex: edges at a vertex listed in increasing order and paired
-    consecutively, then the same walk."""
+    consecutively, then the same walk; returns the right vertices walked
+    out and back for each pair."""
     at = [[] for _ in range(n)]
     for e, v in enumerate(right):
         at[v].append(e)
@@ -428,7 +486,7 @@ def bucket_pair_walk(right, n):
             e = f ^ 1
             if e == start:
                 break
-    return back
+    return [right[f ^ 1] for f in back], [right[f] for f in back]
 
 
 @st.composite
@@ -449,18 +507,19 @@ class TestPairWalk:
     @given(case=even_multigraphs())
     def test_same_walk_as_bucket_lists(self, case):
         n, right = case
-        back, pairs = _pair_walk(right, n)
-        assert back == bucket_pair_walk(right, n)
+        first, second, pairs = _pair_walk(right, n)
+        assert (first, second) == bucket_pair_walk(right, n)
         assert pairs == [right.count(v) // 2 for v in range(n)]
-        # one edge of every pair is walked back, half of each vertex's
-        assert [back[q] // 2 for q in range(len(back))] == \
-            list(range(len(back)))
-        assert Counter(right[e] for e in back) == \
-            Counter({v: c // 2 for v, c in Counter(right).items()})
+        # each pair gives one edge to each half, and each half takes half
+        # of every vertex's edges
+        assert [sorted(right[2 * q:2 * q + 2]) for q in range(len(first))] \
+            == [sorted(pair) for pair in zip(first, second)]
+        half = Counter({v: c // 2 for v, c in Counter(right).items()})
+        assert Counter(first) == half and Counter(second) == half
 
     def test_odd_vertices_stop_the_walk(self):
-        back, pairs = _pair_walk([0, 1, 1, 2], 3)
-        assert back is None and pairs == [-1, 1, -1]
+        first, second, pairs = _pair_walk([0, 1, 1, 2], 3)
+        assert first is None and second is None and pairs == [-1, 1, -1]
 
 
 @st.composite
@@ -593,7 +652,7 @@ class TestLiftLabelsToRealization:
         # the square holds them where the seed does
         P = Partition(parts)
         h = P.part(1)
-        seed, _, _ = _circulant_labels(Partition((3 * h,) + P.parts[3:]))
+        seed, _ = _circulant_labels(Partition((3 * h,) + P.parts[3:]))
         grid = construct_main(P)[0].grid
         kept = [(x, y) for x, row in enumerate(seed) for y, v in enumerate(row)
                 if v <= 3 * h and max(x, y) >= 3 * h]

@@ -1,10 +1,12 @@
-"""Shared helpers: seeded random latin squares and partitions."""
+"""Shared helpers: seeded random latin squares and partitions, and the
+odd-tail seed's grid of classes."""
 
 from __future__ import annotations
 
 import random
 
 from pils import LatinSquare, Partition
+from pils.circulant import _odd_r_classes, odd_r_seed_labels
 
 
 def random_latin_square(n: int, rng: random.Random) -> LatinSquare:
@@ -71,3 +73,13 @@ def random_partition(n: int, rng: random.Random) -> Partition:
         parts.append(p)
         left -= p
     return Partition(parts)
+
+
+def odd_r_labels(partition: Partition) -> list[list[int]]:
+    """The n x n label grid that ``odd_r_outline`` amalgamates: the grid of
+    ``odd_r_seed_labels`` with labels 1..3h grouped by h into classes 1, 2,
+    3 and its tail labels into classes 4..k, so its 3h x 3h corner is the
+    3 x 3 block pattern of the outline.  Rows and columns are units."""
+    classes = _odd_r_classes(partition)
+    return [list(map(classes.__getitem__, row))
+            for row in odd_r_seed_labels(partition)]
