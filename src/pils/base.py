@@ -11,8 +11,9 @@ symbol classes of an orthogonal mate.  For m = 2 (mod 4) it is the
 idempotent square, whose diagonal is one transversal and around which a
 most-constrained-row search packs the others; where that packing gets stuck
 (high s at small m) the outline square is completed directly instead.  The
-searches are deterministic and the fallback's completion branch records
-every invocation for audit.
+searches are deterministic, and every call of the completion solver, from
+``ls_one_big`` (also inside the add-on share arrays) as well as from the
+two-size fallback, is recorded in ``completion_invocations`` for audit.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .core import (
 )
 from .lift import lift_to_realization
 
-# Every use of the completion solver, for auditing which inputs ever reach
-# the final fallback branch.
+# Every use of the completion solver, for auditing which inputs reach it.
 completion_invocations: list[tuple[int, ...]] = []
 
 # Nodes the completion solver may visit before it gives up.

@@ -29,7 +29,7 @@ from .core import (
     is_latin,
     validate_outline,
 )
-from .lift import _peel_class
+from .lift import _write_class
 
 
 def mod_rep(x: int, t: int) -> int:
@@ -230,11 +230,12 @@ def _circulant_labels(partition: Partition,
                     swap(rr, cc, sym, 0)
         prefix += hi
 
-    # Resolve the 0 class back into singletons h1-2*h2+1 .. h1, split into
-    # transversals the way the lift splits a symbol class (the only lifting
-    # step the outline still owes its symbol partition).
-    adj = [[j for j, v in enumerate(row) if v == 0] for row in labels]
-    _peel_class(adj, 0, range(singles + 1, h1 + 1), labels)
+    # Resolve the 0 class back into singletons h1-2*h2+1 .. h1: the lift's
+    # _write_class puts one on each factor of its kernel, _factors, as it
+    # does for a symbol class (the only lifting step the outline still owes
+    # its symbol partition).
+    cells = [j for row in labels for j, v in enumerate(row) if v == 0]
+    _write_class(cells, 0, range(singles + 1, h1 + 1), labels)
 
     sym_partition = Partition([1] * h1 + list(parts[1:]))
     _check_labels(labels, sym_partition)

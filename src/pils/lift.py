@@ -13,19 +13,19 @@ size p is a multigraph on (cross class) x (symbol class) whose every
 degree is a multiple of p, so an Euler partition halves it exactly.  The
 row blocks of the last line phase, over unit columns, are halved on their
 count maps only while they have more than ``_FLAT_ROWS`` rows; then each
-is listed flat, one entry per symbol class copy, and halved down to rows
-of labels.  Once every line is a singleton, each symbol class is an r-regular
-bipartite graph on rows x columns.  An outline cell (I, J) that holds one
-class l only, with p_I = q_J = r_l, holds every copy of l in its row and
-column classes, so its r_l x r_l cells are then a whole component of the
-class: a pure block, written directly as the cyclic square on l's symbols.
-Every diagonal cell of a construction's outline square is one.  The rest
-of each class is halved the same way, into two (r/2)-regular classes, down
-to transversals; an odd degree first gives one symbol a perfect matching.
-Every halving runs one pairing walk, :func:`_pair_walk`, on the flat list
-of each edge's right vertex.  On a valid outline rectangle no extraction,
-halving or matching can fail; any failure is an internal invariant
-violation.
+is listed flat, one entry per symbol class copy.  Once every line is a
+singleton, each symbol class is an r-regular bipartite graph on rows x
+columns.  An outline cell (I, J) that holds one class l only, with p_I =
+q_J = r_l, holds every copy of l in its row and column classes, so its
+r_l x r_l cells are then a whole component of the class: a pure block,
+written directly as the cyclic square on l's symbols.  Every diagonal
+cell of a construction's outline square is one.  One kernel,
+:func:`_factors`, splits each flat row block and the rest of each class
+into r factors (König): an even r by one pairing walk, :func:`_pair_walk`,
+on the flat list of each edge's right vertex, an odd r first by one
+perfect matching; :func:`_write_class` puts symbol i on factor i.  On a
+valid outline rectangle no extraction, halving or matching can fail; any
+failure is an internal invariant violation.
 
 A grid of labels whose every row and column holds label l exactly r_l
 times spells out an outline with unit rows and columns, so only the symbol
@@ -55,7 +55,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate, chain
 from operator import add
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     InternalError,
@@ -411,16 +411,16 @@ def _halve(cells: Sequence[dict[int, int]], singles: Sequence[dict[int, int]],
     return first, second
 
 
-def _split_class(cells: Sequence[dict[int, int]], p: int,
-                 singles: Sequence[dict[int, int]],
-                 out: list[Sequence[dict[int, int]]]) -> None:
-    """Append the ``p`` unit rows of a row class of size ``p``, a power of
-    two, to ``out``, halving it down to units."""
-    if p == 1:
-        out.append(cells)
+def _halvings(cells: Sequence[dict[int, int]], p: int, stop: int,
+              singles: Sequence[dict[int, int]],
+              ) -> Iterator[Sequence[dict[int, int]]]:
+    """Yield the blocks of ``min(p, stop)`` rows that halving a row class of
+    size ``p``, a power of two, on its count maps makes, first half first."""
+    if p <= stop:
+        yield cells
         return
     for half in _halve(cells, singles):
-        _split_class(half, p >> 1, singles, out)
+        yield from _halvings(half, p >> 1, stop, singles)
 
 
 def _cut_rows_to_blocks(state: _LiftState) -> None:
@@ -447,11 +447,9 @@ def _cut_rows_to_blocks(state: _LiftState) -> None:
 
 def _split_rows_to_units(state: _LiftState) -> None:
     """Halve every row class, each a power of two, down to unit rows."""
-    cells: list[Sequence[dict[int, int]]] = []
-    for row, p in zip(state.cells, state.row_parts):
-        _split_class(row, p, state.singles, cells)
-    state.cells = cells
-    state.row_parts = [1] * len(cells)
+    state.cells = [unit for row, p in zip(state.cells, state.row_parts)
+                   for unit in _halvings(row, p, 1, state.singles)]
+    state.row_parts = [1] * len(state.cells)
 
 
 # A row block of at most this many rows finishes the last line phase on a
@@ -470,24 +468,21 @@ def _split_rows_to_labels(state: _LiftState) -> list[list[int]]:
     A block of more than ``_FLAT_ROWS`` rows is halved by :func:`_halve`.
     Each smaller one lists, cell by cell in symbol order, every symbol
     class its cells hold, so that cell c of a block of p rows owns entries
-    ``c*p .. c*p + p - 1``, and :func:`_pair_walk` halves that flat list
-    down to label rows, as :func:`_halve_class` halves a symbol class.
+    ``c*p .. c*p + p - 1``, and :func:`_factors` splits that flat list into
+    label rows (:func:`_label_block`).
     """
     labels: list[list[int]] = []
+    n = len(state.singles)
     for row, p in zip(state.cells, state.row_parts):
-        _label_block(row, p, state.singles, labels)
+        for block in _halvings(row, p, _FLAT_ROWS, state.singles):
+            _label_block(block, min(p, _FLAT_ROWS), n, labels)
     return labels
 
 
-def _label_block(cells: Sequence[dict[int, int]], p: int,
-                 singles: Sequence[dict[int, int]],
+def _label_block(cells: Sequence[dict[int, int]], p: int, n: int,
                  labels: list[list[int]]) -> None:
     """Append the ``p`` label rows of a row block of size ``p``, a power of
-    two, over unit columns to ``labels``."""
-    if p > _FLAT_ROWS:
-        for half in _halve(cells, singles):
-            _label_block(half, p >> 1, singles, labels)
-        return
+    two, over unit columns to ``labels``; symbol classes are ids below n."""
     flat: list[int] = []
     for cell in cells:
         for s in cell if len(cell) == 1 else sorted(cell):
@@ -500,22 +495,34 @@ def _label_block(cells: Sequence[dict[int, int]], p: int,
         raise InternalError(
             f"a row block of {p} rows has a cell of another size; the "
             f"outline being lifted is corrupt")
-    halves = [flat]
-    while p > 1:
-        halves = [half for flat in halves
-                  for half in _flat_halves(flat, len(singles))]
-        p >>= 1
-    labels += halves
+    labels += _factors(flat, p, n)
 
 
-def _flat_halves(flat: list[int], n: int) -> tuple[list[int], list[int]]:
-    """The two halves :func:`_pair_walk` makes of a flat row block."""
-    first, second, pairs = _pair_walk(flat, n)
+def _factors(cells: list[int], r: int, n: int) -> list[list[int]]:
+    """Split a class into r factors (König): r lists of one right vertex
+    per left vertex, each with 1/r of every right vertex's degree.
+
+    ``cells`` lists the r right vertices, ids in [0, n), of each left
+    vertex in turn.  An even r is halved by :func:`_pair_walk`, the half
+    walked out first; an odd r > 1 first takes one
+    :func:`_perfect_matching`, which needs every right degree to be r.  A
+    right vertex of odd degree raises; :func:`_write_class` checks its
+    classes first, so only a row block's symbol class can.
+    """
+    if r & 1:
+        if r == 1:
+            return [cells]
+        rows = [cells[i:i + r] for i in range(0, len(cells), r)]
+        match = _perfect_matching(rows, n)
+        for row, j in zip(rows, match):
+            row.remove(j)
+        return [match, *_factors(list(chain.from_iterable(rows)), r - 1, n)]
+    first, second, pairs = _pair_walk(cells, n)
     if first is None:
         raise InternalError(
             f"symbol {pairs.index(-1)} of a row block being halved has odd "
             f"degree; the outline being lifted is corrupt")
-    return first, second
+    return _factors(first, r >> 1, n) + _factors(second, r >> 1, n)
 
 
 def _perfect_matching(adj: list[list[int]], n: int) -> list[int]:
@@ -590,91 +597,30 @@ def _perfect_matching(adj: list[list[int]], n: int) -> list[int]:
     return match_row
 
 
-def _peel_class(adj: list[list[int]], l: int, symbols: Sequence[int],
-                out: list[list[int]]) -> None:
-    """Write the cells of class ``l`` into ``out`` as transversals, one per
-    entry of ``symbols``.
-
-    ``adj[i]`` lists the columns of row ``out[i]`` whose cell holds the
-    class; it is consumed.  ``out`` may be some of a grid's rows, with the
-    columns the class holds there.  The class must be an r-regular
-    bipartite graph on those rows x columns, r = len(symbols).  An odd
-    r > 1 gives ``symbols[0]`` one perfect matching and goes on with the
-    rest; an even r is halved by :func:`_halve_class`.  So a class costs
-    one matching per odd degree met on the way down, and none when r is a
-    power of two.
-    """
-    r = len(symbols)
-    n = len(out[0])
-    if r > 1 and r & 1:
-        sym = symbols[0]
-        match = _perfect_matching(adj, n)
-        for i, j in enumerate(match):
-            out[i][j] = sym
-            adj[i].remove(j)
-        symbols = symbols[1:]
-        r -= 1
-    if set(map(len, adj)) != {r}:
-        raise InternalError(
-            f"class {l} did not resolve to a transversal" if r == 1 else
-            f"class {l} is not {r}-regular on its rows; the outline being "
-            f"lifted is corrupt")
-    cells = list(chain.from_iterable(adj))
-    if r == 1:
-        _write_transversal(cells, l, symbols[0], out)
-    else:
-        _halve_class(cells, n, l, symbols, out)
-
-
-def _write_transversal(cells: list[int], l: int, sym: int,
-                       out: list[list[int]]) -> None:
-    """Write ``sym`` into column ``cells[i]`` of ``out[i]`` for every row,
-    the columns of a class of degree 1; they must be distinct."""
-    if len(set(cells)) != len(cells):
-        raise InternalError(f"class {l} did not resolve to a transversal")
-    for row, j in zip(out, cells):
-        row[j] = sym
-
-
-def _halve_class(cells: list[int], n: int, l: int, symbols: Sequence[int],
+def _write_class(cells: list[int], l: int, symbols: Sequence[int],
                  out: list[list[int]]) -> None:
-    """:func:`_peel_class` for an even degree r = len(symbols), with the
-    class flat: row ``out[i]`` holds the columns ``cells[i*r:(i+1)*r]``, ids
-    in [0, n).
-
-    :func:`_pair_walk` splits the class into two (r/2)-regular halves, the
-    cells walked from row to column and those walked back, which take the
-    first and second halves of ``symbols``; a class of degree 2 writes both
-    straight into ``out``.  Every column the class holds must hold it r
-    times, which the walk's pair counts show.
-    """
+    """Write class ``l`` into the rows ``out``, ``symbols[i]`` on factor i
+    of :func:`_factors`: row ``out[i]`` holds the class in the columns
+    ``cells[i*r:(i+1)*r]``, r = len(symbols), and every column it holds
+    must hold it r times."""
     r = len(symbols)
-    h = r >> 1
-    first, second, pairs = _pair_walk(cells, n)
-    if first is None or not set(pairs) <= {0, h}:
-        raise InternalError(
-            f"class {l} is not {r}-regular on its columns; the outline "
-            f"being lifted is corrupt")
-    if h == 1:
-        a, b = symbols
-        for row, x, y in zip(out, first, second):
-            row[x] = a
-            row[y] = b
-        return
-    for half, part in ((first, symbols[:h]), (second, symbols[h:])):
-        if h & 1:
-            _peel_class([half[i:i + h] for i in range(0, len(half), h)], l,
-                        part, out)
-        else:
-            _halve_class(half, n, l, part, out)
+    for side, wrong in (("rows", len(cells) != r * len(out)),
+                        ("columns", set(Counter(cells).values()) != {r})):
+        if wrong:
+            raise InternalError(
+                f"class {l} did not resolve to a transversal" if r == 1 else
+                f"class {l} is not {r}-regular on its {side}; the outline "
+                f"being lifted is corrupt")
+    for sym, factor in zip(symbols, _factors(cells, r, len(out[0]))):
+        for row, j in zip(out, factor):
+            row[j] = sym
 
 
 def _split_symbols_to_units(labels: list[list[int]],
                             sym_parts: Sequence[int],
                             blocks: Sequence[tuple[int, int, int]] = (),
                             ) -> list[list[int]]:
-    """Resolve each symbol class into final symbols by Euler halving, with
-    one perfect matching per odd degree (see :func:`_peel_class`).
+    """Resolve each symbol class into final symbols (:func:`_write_class`).
 
     ``blocks`` lists pure blocks as (l, x, y): the r_l x r_l block of cells
     labelled l whose first cell is (x, y), 0-based, and which holds every
@@ -727,14 +673,7 @@ def _split_symbols_to_units(labels: list[list[int]],
             if not out:
                 continue
             cells = kept_cells
-        symbols = range(first[l - 1] + 1, first[l] + 1)
-        if r == 1:
-            _write_transversal(cells, l, symbols[0], out)
-        elif r & 1:
-            _peel_class([cells[i:i + r] for i in range(0, len(cells), r)], l,
-                        symbols, out)
-        else:
-            _halve_class(cells, n, l, symbols, out)
+        _write_class(cells, l, range(first[l - 1] + 1, first[l] + 1), out)
     return grid
 
 

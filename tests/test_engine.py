@@ -14,6 +14,9 @@ from pils import (
     verify_realization,
     verify_subsquares,
 )
+from pils import base
+from pils.compose import _addon_bound_holds
+from pils.engine import _rebuild_hypothesis
 from pils.oracle import enumerate_partitions
 
 
@@ -185,6 +188,30 @@ class TestConstructMain:
         monkeypatch.setattr(engine, "_m_equal_outline", broken)
         with pytest.raises(InternalError, match="injected"):
             construct_main(Partition((4, 4, 4, 2) + (1,) * 10))
+
+    @settings(max_examples=300, deadline=None)
+    @given(b=st.integers(1, 30), gap=st.integers(1, 30),
+           u=st.integers(3, 20), v=st.integers(1, 60))
+    def test_rejected_rebuild_never_takes_the_add_on_fallback(self, b, gap,
+                                                               u, v):
+        # For a^u b^v the rebuild hypothesis at level u, (u-1)(a+b) < vb,
+        # is the complement of the add-on bound (v-1)b <= (u-1)a + (u-2)b.
+        # construct_main rebuilds a two-size partition only where the
+        # hypothesis holds, so when the pipeline rejects that rebuild,
+        # _two_size_outline always runs the completion, never its add-on
+        # step.  At n <= 30 that happens only for (2^3, 1^8).
+        a = b + gap
+        parts = (a,) * u + (b,) * v
+        assert _rebuild_hypothesis(parts, u) == \
+            (not _addon_bound_holds(u, a, parts[u:]))
+
+    def test_rejected_rebuild_runs_the_completion(self):
+        P = Partition((2, 2, 2) + (1,) * 8)
+        before = len(base.completion_invocations)
+        sq, _, trace = construct_main(P)
+        verify_realization(sq, P)
+        assert trace.steps[0]["inner"][0]["op"] == "two-size-fallback"
+        assert base.completion_invocations[before:] == [P.parts]
 
 
 def test_diagonal_blocks_are_cyclic():

@@ -25,14 +25,15 @@ from pils import (
 )
 from pils.circulant import _circulant_labels, odd_r_seed_labels
 from pils.lift import (
+    _factors,
     _halve,
     _label_block,
     _pair_walk,
-    _peel_class,
     _perfect_matching,
     _row_extraction,
     _solve_extraction,
     _split_symbols_to_units,
+    _write_class,
 )
 from reference import (
     REDUCTION_COLS,
@@ -361,27 +362,37 @@ class TestLift:
         # is halved on its count maps, and each block of 8 rows finishes on
         # a flat list of 8 entries per column, halved three times
         lift_module = importlib.import_module("pils.lift")
+        halvings = lift_module._halvings
         label_block = lift_module._label_block
-        flat_halves = lift_module._flat_halves
-        blocks, walks = [], []
+        factors = lift_module._factors
+        blocks, walks, inside = [], [], []
+
+        def recording_halvings(cells, p, stop, singles):
+            if stop > 1:  # the row phase; the column phase stops at 1
+                blocks.append(p)
+            return halvings(cells, p, stop, singles)
 
         def recording_block(cells, p, *args):
-            blocks.append(p)
-            return label_block(cells, p, *args)
+            inside.append(p)
+            label_block(cells, p, *args)
+            inside.pop()
 
-        def recording_walk(flat, n):
-            walks.append(len(flat))
-            return flat_halves(flat, n)
+        def recording_factors(cells, r, n):
+            if inside and r > 1:  # a flat row block; an even r is walked
+                walks.append(len(cells))
+            return factors(cells, r, n)
 
+        monkeypatch.setattr(lift_module, "_halvings", recording_halvings)
         monkeypatch.setattr(lift_module, "_label_block", recording_block)
-        monkeypatch.setattr(lift_module, "_flat_halves", recording_walk)
+        monkeypatch.setattr(lift_module, "_factors", recording_factors)
         P, Q, R = (Partition([24, 8]), Partition([16, 8, 5, 3]),
                    Partition([9, 7, 8, 8]))
         outline = reduce(random_latin_square(32, random.Random(24)), P, Q, R)
         square = lift(outline)
         assert reduce(square, P, Q, R).cells == outline.cells
         assert blocks == [16, 8, 8, 8, 8]
-        assert walks == [256, 128, 128, 64, 64, 64, 64] * 4
+        # depth first: each half's walks before the other half's
+        assert walks == [256, 128, 64, 64, 128, 64, 64] * 4
 
     def test_lift_ignores_count_map_order(self):
         outline = reduce(random_latin_square(31, random.Random(32)),
@@ -442,23 +453,19 @@ class TestHalve:
 
 class TestLabelBlock:
     def test_cell_of_another_size_raises(self):
-        singles = [{s: 1} for s in range(3)]
         with pytest.raises(InternalError, match="cell of another size"):
-            _label_block([{1: 2}, {1: 1, 2: 2}], 2, singles, [])
+            _label_block([{1: 2}, {1: 1, 2: 2}], 2, 3, [])
 
     def test_symbol_with_odd_degree_raises(self):
         # each cell holds two symbols; symbols 2 and 3 once each
-        singles = [{s: 1} for s in range(4)]
         with pytest.raises(InternalError, match="symbol 2 .*odd degree"):
-            _label_block([{1: 1, 2: 1}, {1: 1, 3: 1}], 2, singles, [])
+            _label_block([{1: 1, 2: 1}, {1: 1, 3: 1}], 2, 4, [])
 
     def test_flat_block_gives_label_rows(self):
         # two rows over three unit columns; each label row holds one of
         # every cell's symbols
-        singles = [{s: 1} for s in range(4)]
         labels = []
-        _label_block([{1: 1, 2: 1}, {2: 1, 3: 1}, {1: 1, 3: 1}], 2, singles,
-                     labels)
+        _label_block([{1: 1, 2: 1}, {2: 1, 3: 1}, {1: 1, 3: 1}], 2, 4, labels)
         assert labels == [[1, 2, 3], [2, 3, 1]]
 
 
@@ -540,17 +547,78 @@ def regular_classes(draw):
     return n, r, [sorted(row) for row in adj]
 
 
+def matchings_taken(r):
+    """Perfect matchings :func:`_factors` takes on a class of degree r: one
+    per odd degree met on the way down, each half halved again."""
+    if r == 1:
+        return 0
+    if r & 1:
+        return 1 + matchings_taken(r - 1)
+    return 2 * matchings_taken(r // 2)
+
+
+@st.composite
+def regular_multigraphs(draw):
+    """(n, r, cells) of a class as :func:`_factors` takes it: r right
+    vertices, ids in [0, n), listed for each left vertex in turn, and each
+    right vertex's degree a multiple of r.  Left vertex i takes entry i of r
+    arrangements of one list of right vertices, drawn from a few, so edges
+    repeat.  An odd r > 1 needs a perfect matching, so every right degree
+    is then r; a power of two allows any multiple, as in a row block."""
+    r = draw(st.integers(1, 12), label="r")
+    m = draw(st.integers(1, 12), label="m")
+    n = draw(st.integers(m, 14), label="n")
+    rng = draw(st.randoms(use_true_random=False))
+    if r & (r - 1):
+        right = rng.sample(range(n), m)
+    else:
+        right = [rng.randrange(n) for _ in range(m)]
+    pool = [rng.sample(right, m)
+            for _ in range(draw(st.integers(1, 3), label="pool"))]
+    arrangements = [rng.choice(pool) for _ in range(r)]
+    return n, r, [v for i in range(m) for v in
+                  (arrangement[i] for arrangement in arrangements)]
+
+
+class TestFactors:
+    @settings(max_examples=300, deadline=None)
+    @given(case=regular_multigraphs())
+    def test_factors_of_regular_multigraphs(self, case):
+        n, r, cells = case
+        given_cells = list(cells)
+        factors = _factors(cells, r, n)
+        assert cells == given_cells
+        assert len(factors) == r
+        m = len(cells) // r
+        assert all(len(factor) == m for factor in factors)
+        # each left vertex keeps its multiset of right vertices
+        for i in range(m):
+            assert sorted(factor[i] for factor in factors) == \
+                sorted(cells[i * r:(i + 1) * r])
+        # each factor takes 1/r of every right vertex's degree
+        share = Counter({v: c // r for v, c in Counter(cells).items()})
+        assert all(Counter(factor) == share for factor in factors)
+        assert _factors(cells, r, n) == factors
+
+    def test_class_without_a_perfect_matching_raises(self):
+        # rows 0 and 2 hold only column 0, three times each
+        with pytest.raises(InternalError, match="no perfect matching"):
+            _factors([0, 0, 0, 1, 1, 1, 0, 0, 0], 3, 2)
+
+
 class TestPeelClass:
+    """A class peeled into transversals by :func:`_write_class`."""
+
     # r = 3 sits before r = 2 so that the earlier ids keep their cases
     @pytest.mark.parametrize("symbols, message", [
         ((1,), "did not resolve to a transversal"),
-        ((1, 2, 3), "no perfect matching"),
+        ((1, 2, 3), "class 1 is not 3-regular on its rows"),
         ((1, 2), "class 1 is not 2-regular on its rows"),
     ])
     def test_irregular_class_raises(self, symbols, message):
-        # row 1 holds class 1 twice, row 2 not at all
+        # three columns for two rows: one row holds class 1 twice
         with pytest.raises(InternalError, match=message):
-            _peel_class([[0, 1], []], 1, symbols, [[0, 0], [0, 0]])
+            _write_class([0, 1, 1], 1, symbols, [[0, 0], [0, 0]])
 
     def test_irregular_columns_raise(self):
         # all three rows hold class 1 in the same columns (0 and 1, then 0
@@ -558,10 +626,10 @@ class TestPeelClass:
         out = [[0] * 3 for _ in range(3)]
         with pytest.raises(InternalError,
                            match="class 1 is not 2-regular on its columns"):
-            _peel_class([[0, 1] for _ in out], 1, (1, 2), out)
+            _write_class([0, 1] * 3, 1, (1, 2), out)
         with pytest.raises(InternalError,
                            match="did not resolve to a transversal"):
-            _peel_class([[0] for _ in out], 1, (1,), out)
+            _write_class([0] * 3, 1, (1,), out)
 
     def test_repeated_column_fails_the_column_check(self):
         # both rows hold class 1 twice in column 0: every degree is even,
@@ -569,7 +637,7 @@ class TestPeelClass:
         out = [[0, 0], [0, 0]]
         with pytest.raises(InternalError,
                            match="class 1 is not 2-regular on its columns"):
-            _peel_class([[0, 0], [0, 0]], 1, (1, 2), out)
+            _write_class([0] * 4, 1, (1, 2), out)
 
     @settings(max_examples=200, deadline=None)
     @given(case=regular_classes())
@@ -588,8 +656,8 @@ class TestPeelClass:
             mp.setattr(lift_module, "_perfect_matching", counted)
             for _ in range(2):
                 out = [[0] * n for _ in range(n)]
-                _peel_class([list(row) for row in adj], 1,
-                            range(1, r + 1), out)
+                _write_class([j for row in adj for j in row], 1,
+                             range(1, r + 1), out)
                 outs.append((out, len(calls)))
                 calls.clear()
         (out, matchings), again = outs
@@ -602,11 +670,8 @@ class TestPeelClass:
             assert sorted(i for i, _ in cells) == list(range(n))
             assert sorted(j for _, j in cells) == list(range(n))
         # one matching per odd degree on the way down: none for a power
-        # of two, at most r/2 otherwise
-        if r & (r - 1) == 0:
-            assert matchings == 0
-        else:
-            assert 2 * matchings <= r
+        # of two
+        assert matchings == matchings_taken(r)
 
 
 class TestPerfectMatching:
