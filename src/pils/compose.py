@@ -229,19 +229,13 @@ def add_on_step(outline: OutlineRectangle, target: Partition, level: int,
     (h_{l+1}^{l+1} h_{l+2} .. h_k) to one for ``target`` = (h_l^l h_{l+1}
     .. h_k), l = ``level``, by adding (h_l - h_{l+1}) add-on arrays to its
     off-diagonal body.  The combined cells are normalized once, by the
-    outline square :func:`square_from_array` builds."""
+    outline square :func:`square_from_array` builds, whose check also
+    catches a combined cell of the wrong size."""
     parts = target.parts
     copies = parts[level - 1] - parts[level]
     body = array_from_outline_square(outline)
     addon = add_on_outline(level, parts[level:], parts[level - 1])
     combined = sum_outline_arrays(body, addon, copies)
-    for i, (row, h_i) in enumerate(zip(combined, parts), start=1):
-        for j, (cell, h_j) in enumerate(zip(row, parts), start=1):
-            size = sum(cell.values())
-            want = 0 if i == j else h_i * h_j
-            if size != want:
-                raise InternalError(
-                    f"combined array has F({i},{j}) = {size}, wanted {want}")
     return square_from_array(combined, target)
 
 

@@ -64,44 +64,29 @@ def select_t(h1: int, h4: int, hk: int, r: int,
         raise PreconditionError(f"r = {r} is {want}, not {parity}")
 
     if r % 2:
-        def ok(t: int) -> bool:
-            return (2 * h4 <= 3 * t <= r + 1 - 2 * h4
-                    and 0 <= r * (h1 - t) <= 2 * h1 * h1
-                    and 1 <= t <= h1)
-
-        if ok(h1):
-            return h1
-        hi = (r + 1 - 2 * h4) // 3
-        for t in range(min(hi, h1), 0, -1):
-            if ok(t):
+        for t in range(min((r + 1 - 2 * h4) // 3, h1), 0, -1):
+            if (2 * h4 <= 3 * t <= r + 1 - 2 * h4
+                    and 0 <= r * (h1 - t) <= 2 * h1 * h1):
                 return t
         raise PreconditionError(
             f"no odd-parity seed size for h1={h1}, h4={h4}, r={r}")
 
-    def ok_even(t: int) -> bool:
-        return (2 * h4 + 2 <= 3 * t + 1 <= r + 1 - 2 * h4
+    fallback = None
+    for t in range(min((r - 2 * h4) // 3, h1), 1, -1):
+        if (2 * h4 + 2 <= 3 * t + 1 <= r + 1 - 2 * h4
                 and 0 <= r * (h1 - t) <= 2 * h1 * h1 - t - 2 * (hk - 1)
-                and t * (t - 1) >= 2 * (hk - 1)
-                and 2 <= t <= h1)
-
-    def constructible(t: int) -> bool:
-        # strictly inside the window (the boundary starves the difference
-        # pool) and large enough to absorb the final block's trade
-        return 3 * t + 1 <= r - 2 * h4 and t >= hk - 1
-
-    candidates = []
-    if 3 * h1 <= r - 2 * h4:
-        candidates.append(h1)
-    hi = (r - 2 * h4) // 3
-    candidates.extend(range(min(hi, h1), 1, -1))
-    for t in candidates:
-        if ok_even(t) and constructible(t):
-            return t
-    for t in candidates:
-        if ok_even(t):
-            return t
-    raise PreconditionError(
-        f"no even-parity seed size for h1={h1}, h4={h4}, hk={hk}, r={r}")
+                and t * (t - 1) >= 2 * (hk - 1)):
+            # prefer t strictly inside the window (the boundary starves the
+            # difference pool) and large enough to absorb the final block's
+            # trade
+            if 3 * t + 1 <= r - 2 * h4 and t >= hk - 1:
+                return t
+            if fallback is None:
+                fallback = t
+    if fallback is None:
+        raise PreconditionError(
+            f"no even-parity seed size for h1={h1}, h4={h4}, hk={hk}, r={r}")
+    return fallback
 
 
 def attempt_pipeline(partition: Partition, labels: bool = False,
@@ -153,30 +138,6 @@ def construct_m_equal(partition: Partition, m: int | None = None,
     parameters are out of range.  The chosen route's outline square is
     lifted once; uniform inputs return ls_uniform's square itself.
     """
-    outline, trace = _m_equal_outline(partition, m)
-    if outline is None:
-        square, certificate = ls_uniform(partition.part(1), partition.k)
-    else:
-        square, certificate = lift_to_realization(outline, partition)
-    return square, certificate, trace
-
-
-def _rebuild_hypothesis(parts: Sequence[int], level: int) -> bool:
-    """The rebuild hypothesis (l-1)(h_l + h_{l+1}) < sum(h_{l+1..k}) at
-    level l, false when no part follows h_l."""
-    if level >= len(parts):
-        return False
-    return ((level - 1) * (parts[level - 1] + parts[level])
-            < sum(parts[level:]))
-
-
-def _m_equal_outline(partition: Partition, m: int | None,
-                     labels: bool = False,
-                     ) -> tuple[OutlineRectangle | list[list[int]] | None,
-                                ConstructionTrace]:
-    """construct_m_equal's checks and route choice, stopping at the outline
-    square; None for uniform inputs, which need no lift.  ``labels`` is
-    passed on to :func:`attempt_pipeline`."""
     parts = partition.parts
     if not partition.is_non_increasing():
         raise PreconditionError("partition must be sorted non-increasing")
@@ -194,31 +155,52 @@ def _m_equal_outline(partition: Partition, m: int | None,
         if not _rebuild_hypothesis(parts, m):
             raise PreconditionError(
                 f"hypothesis fails at m = {m}: ({m}-1)(h1+h_m+1) >= tail sum")
-        chosen = m
     else:
-        chosen = next((mm for mm in range(3, run + 1)
-                       if _rebuild_hypothesis(parts, mm)), None)
-        if chosen is None:
+        m = next((mm for mm in range(3, run + 1)
+                  if _rebuild_hypothesis(parts, mm)), None)
+        if m is None:
             raise PreconditionError(
                 f"hypothesis fails for every m in [3, {run}] on {partition}")
 
-    trace = ConstructionTrace(parts)
-    distinct = len(set(parts))
-    if distinct == 1:
+    if run == k:
+        trace = ConstructionTrace(parts)
         trace.add("uniform", a=parts[0], k=k)
-        return None, trace
+        square, certificate = ls_uniform(parts[0], k)
+        return square, certificate, trace
+    outline, trace = _rebuild(partition, m)
+    square, certificate = lift_to_realization(outline, partition)
+    return square, certificate, trace
+
+
+def _rebuild_hypothesis(parts: Sequence[int], level: int) -> bool:
+    """The rebuild hypothesis (l-1)(h_l + h_{l+1}) < sum(h_{l+1..k}) at
+    level l, false when no part follows h_l."""
+    if level >= len(parts):
+        return False
+    return ((level - 1) * (parts[level - 1] + parts[level])
+            < sum(parts[level:]))
+
+
+def _rebuild(partition: Partition, m: int, labels: bool = False,
+             ) -> tuple[OutlineRectangle | list[list[int]],
+                        ConstructionTrace]:
+    """The outline square of a checked, non-uniform (h1^m h_{m+1} .. h_k)
+    and its trace: the circulant pipeline, or for two sizes the two-size
+    constructor when the pipeline rejects it.  ``labels`` is passed on to
+    :func:`attempt_pipeline`."""
+    trace = ConstructionTrace(partition.parts)
     try:
         outline, info = attempt_pipeline(partition, labels)
-        trace.add("circulant-pipeline", m=chosen, **info)
-        return outline, trace
     except PreconditionError as exc:
-        if distinct <= 2:
-            outline = _two_size_outline(partition)
-            trace.add("two-size-fallback", m=chosen, reason=str(exc))
-            return outline, trace
-        raise InternalError(
-            f"pipeline rejected a three-size partition {partition}: {exc}"
-        ) from exc
+        if len(set(partition.parts)) > 2:
+            raise InternalError(
+                f"pipeline rejected a three-size partition {partition}: "
+                f"{exc}") from exc
+        outline = _two_size_outline(partition)
+        trace.add("two-size-fallback", m=m, reason=str(exc))
+        return outline, trace
+    trace.add("circulant-pipeline", m=m, **info)
+    return outline, trace
 
 
 def construct_main(partition: Partition,
@@ -270,8 +252,8 @@ def construct_main(partition: Partition,
         # there outright; when no add-on step follows (start == m), an odd
         # seed of size h1 comes back as its label grid, and only its symbols
         # are lifted
-        outline, inner = _m_equal_outline(level_partition(start), start,
-                                          labels=start == m)
+        outline, inner = _rebuild(level_partition(start), start,
+                                  labels=start == m)
         trace.add("rebuild", level=start, inner=inner.steps)
         if isinstance(outline, list):
             square, certificate = lift_labels_to_realization(outline,

@@ -257,29 +257,6 @@ def _row_extraction(row_cells: Sequence[dict[int, int]], a: int,
 # Full lift
 
 
-class _LiftState:
-    """Mutable working copy of an outline during the line splits.
-
-    Each cell is a ``{symbol: count}`` map without zero counts, starting
-    from the outline's stored maps.  Cells are replaced, never changed in
-    place; cells a split leaves holding one symbol once are the shared maps
-    in ``singles``.
-    """
-
-    __slots__ = ("row_parts", "col_parts", "sym_parts", "singles", "cells")
-
-    def __init__(self, outline: OutlineRectangle):
-        self.row_parts = list(outline.row_partition.parts)
-        self.col_parts = list(outline.col_partition.parts)
-        self.sym_parts = list(outline.sym_partition.parts)
-        self.singles = [{s: 1} for s in range(len(self.sym_parts) + 1)]
-        self.cells = [list(row) for row in outline.counts]
-
-    def transpose(self) -> None:
-        self.row_parts, self.col_parts = self.col_parts, self.row_parts
-        self.cells = [list(col) for col in zip(*self.cells)]
-
-
 def _pair_walk(right: Sequence[int], n: int,
                ) -> tuple[list[int] | None, list[int] | None, list[int]]:
     """Split a bipartite multigraph of even degrees into two halves, each
@@ -423,33 +400,39 @@ def _halvings(cells: Sequence[dict[int, int]], p: int, stop: int,
         yield from _halvings(half, p >> 1, stop, singles)
 
 
-def _cut_rows_to_blocks(state: _LiftState) -> None:
-    """Cut every row class into power-of-two blocks, largest first.
+def _cut_rows_to_blocks(rows: Sequence[Sequence[dict[int, int]]],
+                        row_parts: Sequence[int], col_parts: Sequence[int],
+                        sym_parts: Sequence[int],
+                        singles: Sequence[dict[int, int]],
+                        ) -> tuple[list[Sequence[dict[int, int]]], list[int]]:
+    """Cut every row class into power-of-two blocks, largest first; returns
+    the blocks' cells and sizes.
 
     A class of size p takes popcount(p) - 1 extractions, each on one cell
     per column class, so none is larger than the outline.
     """
     cells: list[Sequence[dict[int, int]]] = []
     parts: list[int] = []
-    for row, p in zip(state.cells, state.row_parts):
+    for row, p in zip(rows, row_parts):
         while p & (p - 1):
             a = 1 << (p.bit_length() - 1)
-            block, row = _row_extraction(row, a, state.col_parts,
-                                         state.sym_parts, state.singles)
+            block, row = _row_extraction(row, a, col_parts, sym_parts,
+                                         singles)
             cells.append(block)
             parts.append(a)
             p -= a
         cells.append(row)
         parts.append(p)
-    state.cells = cells
-    state.row_parts = parts
+    return cells, parts
 
 
-def _split_rows_to_units(state: _LiftState) -> None:
+def _split_rows_to_units(rows: Sequence[Sequence[dict[int, int]]],
+                         row_parts: Sequence[int],
+                         singles: Sequence[dict[int, int]],
+                         ) -> list[Sequence[dict[int, int]]]:
     """Halve every row class, each a power of two, down to unit rows."""
-    state.cells = [unit for row, p in zip(state.cells, state.row_parts)
-                   for unit in _halvings(row, p, 1, state.singles)]
-    state.row_parts = [1] * len(state.cells)
+    return [unit for row, p in zip(rows, row_parts)
+            for unit in _halvings(row, p, 1, singles)]
 
 
 # A row block of at most this many rows finishes the last line phase on a
@@ -461,7 +444,10 @@ def _split_rows_to_units(state: _LiftState) -> None:
 _FLAT_ROWS = 8
 
 
-def _split_rows_to_labels(state: _LiftState) -> list[list[int]]:
+def _split_rows_to_labels(rows: Sequence[Sequence[dict[int, int]]],
+                          row_parts: Sequence[int],
+                          singles: Sequence[dict[int, int]],
+                          ) -> list[list[int]]:
     """Halve every row class, each a power of two, down to unit rows, when
     every column is a unit; returns the grid of symbol classes.
 
@@ -472,9 +458,9 @@ def _split_rows_to_labels(state: _LiftState) -> list[list[int]]:
     label rows (:func:`_label_block`).
     """
     labels: list[list[int]] = []
-    n = len(state.singles)
-    for row, p in zip(state.cells, state.row_parts):
-        for block in _halvings(row, p, _FLAT_ROWS, state.singles):
+    n = len(singles)
+    for row, p in zip(rows, row_parts):
+        for block in _halvings(row, p, _FLAT_ROWS, singles):
             _label_block(block, min(p, _FLAT_ROWS), n, labels)
     return labels
 
@@ -714,21 +700,23 @@ def lift(outline: OutlineRectangle) -> LatinSquare:
     bad = validate_outline(outline)
     if bad:
         raise PreconditionError(f"not an outline rectangle: {bad[0]}")
-    state = _LiftState(outline)
-    _cut_rows_to_blocks(state)
-    state.transpose()
-    _cut_rows_to_blocks(state)
-    _split_rows_to_units(state)
-    state.transpose()
-    labels = _split_rows_to_labels(state)
-    del state
-    grid = _split_symbols_to_units(labels, outline.sym_partition.parts,
-                                   _pure_blocks(outline))
+    p_parts, q_parts, r_parts = (outline.row_partition.parts,
+                                 outline.col_partition.parts,
+                                 outline.sym_partition.parts)
+    # cells are count maps, replaced and never changed in place, so those a
+    # split leaves holding one symbol once share the maps in ``singles``
+    singles = [{s: 1} for s in range(len(r_parts) + 1)]
+    cells, row_blocks = _cut_rows_to_blocks(outline.counts, p_parts, q_parts,
+                                            r_parts, singles)
+    cells, col_blocks = _cut_rows_to_blocks(list(zip(*cells)), q_parts,
+                                            row_blocks, r_parts, singles)
+    cells = _split_rows_to_units(cells, col_blocks, singles)
+    labels = _split_rows_to_labels(list(zip(*cells)), row_blocks, singles)
+    del cells
+    grid = _split_symbols_to_units(labels, r_parts, _pure_blocks(outline))
     square = LatinSquare(grid)
-    got = _amalgamate_labels(
-        grid, _group_map(outline.row_partition.parts),
-        _group_map(outline.col_partition.parts),
-        _group_map(outline.sym_partition.parts), outline.shape)
+    got = _amalgamate_labels(grid, _group_map(p_parts), _group_map(q_parts),
+                             _group_map(r_parts), outline.shape)
     if any(tuple(mine) != row for mine, row in zip(got, outline.counts)):
         raise InternalError("lift round trip failed to reproduce the outline")
     return square

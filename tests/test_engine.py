@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 
 import pytest
@@ -47,6 +48,23 @@ class TestSelectT:
         with pytest.raises(PreconditionError):
             select_t(5, 2, 1, 21, parity="even")
 
+    def test_answers_are_pinned(self):
+        # which t is chosen, not only that it meets the inequalities: every
+        # answer over 1 <= hk <= h4 <= h1 <= 16 and 1 <= r < 100, None
+        # where no seed size exists
+        answers = []
+        for h1 in range(1, 17):
+            for h4 in range(1, h1 + 1):
+                for hk in range(1, h4 + 1):
+                    for r in range(1, 100):
+                        try:
+                            answers.append(select_t(h1, h4, hk, r))
+                        except PreconditionError:
+                            answers.append(None)
+        assert len(answers) == 80784
+        assert hashlib.sha256(repr(answers).encode()).hexdigest() == \
+            "eb39d6962ba613df7ac9ade608990422ab32843b8d338beb7ec3a039ec4ce9e6"
+
 
 class TestConstructMEqual:
     def test_odd_route(self):
@@ -75,6 +93,27 @@ class TestConstructMEqual:
         P = Partition([3, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1])
         sq, cert, _ = construct_m_equal(P, m=3)
         verify_realization(sq, P)
+
+    def test_two_size_fallback_takes_the_add_on_step(self, monkeypatch):
+        # m = 3: the pipeline rejects (2^4, 1^8), and the add-on bound holds
+        # at level 4, so _two_size_outline adds on to the uniform base
+        # instead of running the completion
+        steps = []
+        original = base.add_on_step
+
+        def counting(outline, target, level):
+            steps.append((target.parts, level))
+            return original(outline, target, level)
+
+        monkeypatch.setattr(base, "add_on_step", counting)
+        P = Partition((2,) * 4 + (1,) * 8)
+        before = len(base.completion_invocations)
+        sq, _, trace = construct_m_equal(P)
+        verify_realization(sq, P)
+        assert trace.steps[0]["op"] == "two-size-fallback"
+        assert trace.steps[0]["m"] == 3
+        assert steps == [(P.parts, 4)]
+        assert base.completion_invocations[before:] == []
 
 
 @st.composite
@@ -165,10 +204,10 @@ class TestConstructMain:
         lift_module = importlib.import_module("pils.lift")
         calls = {"_cut_rows_to_blocks": 0, "_split_rows_to_units": 0}
         for name in calls:
-            def counting(state, _name=name, _original=getattr(lift_module,
+            def counting(*args, _name=name, _original=getattr(lift_module,
                                                               name)):
                 calls[_name] += 1
-                return _original(state)
+                return _original(*args)
             monkeypatch.setattr(lift_module, name, counting)
         P = Partition(parts)
         sq, _, trace = construct_main(P)
@@ -185,7 +224,7 @@ class TestConstructMain:
         def broken(partition, m, labels=False):
             raise InternalError("injected")
 
-        monkeypatch.setattr(engine, "_m_equal_outline", broken)
+        monkeypatch.setattr(engine, "_rebuild", broken)
         with pytest.raises(InternalError, match="injected"):
             construct_main(Partition((4, 4, 4, 2) + (1,) * 10))
 
