@@ -48,6 +48,7 @@ from .engine import (
     construct_ils,
     construct_m_equal,
     construct_main,
+    construct_one_big,
     select_t,
 )
 from .oracle import enumerate_partitions, find_realization_bruteforce

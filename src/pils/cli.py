@@ -27,8 +27,8 @@ from .core import (
     reduce as reduce_square,
     verify_realization,
 )
-from .base import _CompletionBudget, ls_one_big, ls_uniform
-from .engine import construct_ils, construct_main
+from .base import _CompletionBudget, ls_uniform
+from .engine import construct_ils, construct_main, construct_one_big
 from .lift import lift
 from .oracle import DEFAULT_BUDGET, find_realization_bruteforce
 
@@ -160,8 +160,7 @@ def _construct_dispatch(partition: Partition):
         return (square, certificate, None), verdict
     if parts[0] >= 1 and all(p == 1 for p in parts[1:]) and k >= 4 \
             and parts[0] <= k - 2:
-        square, certificate = ls_one_big(parts[0], k - 1)
-        return (square, certificate, None), verdict
+        return construct_one_big(parts[0], k - 1), verdict
     return None, verdict
 
 

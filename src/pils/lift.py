@@ -591,7 +591,9 @@ def _write_class(cells: list[int], l: int, symbols: Sequence[int],
     must hold it r times."""
     r = len(symbols)
     for side, wrong in (("rows", len(cells) != r * len(out)),
-                        ("columns", set(Counter(cells).values()) != {r})):
+                        # distinct columns suffice for r = 1, and are cheaper
+                        ("columns", len(set(cells)) != len(cells) if r == 1
+                         else set(Counter(cells).values()) != {r})):
         if wrong:
             raise InternalError(
                 f"class {l} did not resolve to a transversal" if r == 1 else

@@ -18,6 +18,7 @@ from reference import (
     REFERENCE_OUTLINE_CELLS,
     REFERENCE_SQUARE,
 )
+from util import route_a_pairs
 
 
 @pytest.fixture
@@ -121,6 +122,48 @@ class TestConstruct:
         assert main(["construct", "3,3,3,2,1", "--trace"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["trace"]["steps"]
+
+    def test_one_big_route(self, capsys, monkeypatch):
+        # substitution into construct_main on the route-A pairs; ls_one_big
+        # for m != 2 (mod 4), for s = 2 below m = 10, and in the band
+        # s < m < 2s
+        from pils import engine
+
+        calls = []
+
+        def counting(name):
+            func = getattr(engine, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return func(*args)
+            return wrapper
+
+        for name in ("construct_main", "ls_one_big"):
+            monkeypatch.setattr(engine, name, counting(name))
+        route_a = set(route_a_pairs(40))
+        pairs = {(s, m) for m in range(3, 19) for s in range(2, m)} | route_a
+        for s, m in sorted(pairs):
+            calls.clear()
+            assert main(["construct", f"{s},1^{m}"]) == 0, (s, m)
+            assert calls == ["construct_main" if (s, m) in route_a
+                             else "ls_one_big"], (s, m)
+        assert len(route_a) == 89 and len(pairs - route_a) == 117
+
+    @pytest.mark.parametrize("text, coarse, blocks", [
+        ("5,1^38", [5, 5, 5] + [1] * 28, [2, 3]),
+        ("2,1^46", [3, 3, 3, 2] + [1] * 37, [1, 2, 3]),
+    ])
+    def test_one_big_trace_shows_substitution(self, capsys, tmp_path, text,
+                                               coarse, blocks):
+        assert main(["construct", text, "--trace"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["trace"]["steps"][-1] == {
+            "op": "substitute", "coarse": coarse, "blocks": blocks}
+        path = tmp_path / "grid.txt"
+        path.write_text("\n".join(" ".join(map(str, row))
+                                  for row in payload["square"]))
+        assert main(["verify", str(path), text]) == 0
 
 
 class TestVerbose:

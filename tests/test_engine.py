@@ -11,6 +11,7 @@ from pils import (
     construct_ils,
     construct_m_equal,
     construct_main,
+    construct_one_big,
     select_t,
     verify_realization,
     verify_subsquares,
@@ -19,6 +20,7 @@ from pils import base
 from pils.compose import _addon_bound_holds
 from pils.engine import _rebuild_hypothesis
 from pils.oracle import enumerate_partitions
+from util import route_a_pairs
 
 
 class TestSelectT:
@@ -270,6 +272,53 @@ def test_diagonal_blocks_are_cyclic():
                 lo += h
             built += 1
     assert built == 153
+
+
+def assert_one_big_normal_form(grid, s: int, m: int) -> None:
+    """Check a normal-form realization of (s, 1^m) without the library's
+    verifier: a latin square of order s + m whose rows and columns [0, s)
+    hold symbols 1..s, and whose later diagonal cells (i, i) hold i + 1."""
+    n = s + m
+    want = set(range(1, n + 1))
+    assert len(grid) == n
+    assert all(set(row) == want for row in grid)
+    assert all(set(col) == want for col in zip(*grid))
+    assert all(set(row[:s]) == set(range(1, s + 1)) for row in grid[:s])
+    assert all(grid[i][i] == i + 1 for i in range(s, n))
+
+
+class TestConstructOneBig:
+    def test_route_a_sweep(self):
+        pairs = route_a_pairs(40)
+        assert len(pairs) == 89
+        for s, m in pairs:
+            square, certificate, trace = construct_one_big(s, m)
+            assert_one_big_normal_form(square.grid, s, m)
+            assert certificate.blocks[0].rows == tuple(range(1, s + 1))
+            assert certificate == verify_realization(
+                square, Partition((s,) + (1,) * m))
+            assert trace.steps[-1]["op"] == "substitute"
+            assert construct_one_big(s, m)[0].grid == square.grid, (s, m)
+
+    @pytest.mark.parametrize("s, m, coarse, blocks", [
+        (3, 6, [3, 3, 3], [2, 3]),
+        (4, 10, [4, 4, 4, 1, 1], [2, 3]),
+        (2, 10, [3, 3, 3, 2, 1], [1, 2, 3]),
+    ])
+    def test_trace_names_the_refined_blocks(self, s, m, coarse, blocks):
+        _, _, trace = construct_one_big(s, m)
+        assert trace.partition == (s,) + (1,) * m
+        inner = construct_main(Partition(coarse))[2].steps
+        assert trace.steps == inner + [
+            {"op": "substitute", "coarse": coarse, "blocks": blocks}]
+
+    @pytest.mark.parametrize("s, m", [
+        (2, 6), (4, 6), (9, 10), (13, 14), (3, 7), (5, 8), (2, 9), (10, 12),
+    ])
+    def test_elsewhere_ls_one_big(self, s, m):
+        square, certificate, trace = construct_one_big(s, m)
+        assert (square, certificate) == base.ls_one_big(s, m)
+        assert trace.steps == [{"op": "one-big", "s": s, "m": m}]
 
 
 class TestConstructIls:
