@@ -13,7 +13,6 @@ All ring arithmetic lives on the representatives [t] = {1..t} of Z_t.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -22,6 +21,7 @@ from .core import (
     OutlineRectangle,
     Partition,
     PreconditionError,
+    Record,
     _amalgamate,
     _amalgamate_labels,
     _check_labels,
@@ -49,8 +49,7 @@ def mod_mul(x: int, y: int, t: int) -> int:
     return (x * y - 1) % t + 1
 
 
-@dataclass(frozen=True)
-class CirculantParams:
+class CirculantParams(Record):
     """Validated difference structure for the prolongation.
 
     ``d`` lists the h1 chosen differences: the first h1 - 2*h2 are free (in
@@ -59,11 +58,9 @@ class CirculantParams:
     inside their own symbol block and need no trade.
     """
 
-    partition: Partition
-    t: int
-    d1: frozenset[int]
-    d2: frozenset[int]
-    d: tuple[int, ...]
+    def __init__(self, partition: Partition, t: int, d1: frozenset[int],
+                 d2: frozenset[int], d: tuple[int, ...]):
+        self.__dict__.update(partition=partition, t=t, d1=d1, d2=d2, d=d)
 
     @property
     def free_count(self) -> int:
@@ -108,8 +105,7 @@ def circulant_params(partition: Partition) -> CirculantParams:
     return CirculantParams(partition, t, d1, d2, d)
 
 
-@dataclass(frozen=True)
-class TripleSet:
+class TripleSet(Record):
     """Triples (row, column, symbol) attached to one free difference.
 
     Row and column coordinates each exhaust the non-subsquare indices, the
@@ -117,8 +113,8 @@ class TripleSet:
     row/column against the index line give the symbol.
     """
 
-    index: int
-    triples: tuple[tuple[int, int, int], ...]
+    def __init__(self, index: int, triples: tuple[tuple[int, int, int], ...]):
+        self.__dict__.update(index=index, triples=triples)
 
 
 def build_circulant_outline(partition: Partition,

@@ -17,7 +17,7 @@ The outline arrays of :mod:`pils.compose` are plain grids of such maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator, Literal, Sequence
 
 
@@ -56,12 +56,39 @@ class InternalError(RuntimeError):
     """
 
 
+class Record:
+    """A frozen value: the base of the package's record types.
+
+    A subclass's ``__init__`` sets every field once, in field order, through
+    ``self.__dict__``.  Records of one class are equal when their fields
+    are; a record hashes as the tuple of its fields and prints as
+    ``Name(field=value, ...)``.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Partitions
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """An ordered list of positive parts.
 
     The raw constructor preserves the given order; reductions are order
@@ -72,10 +99,16 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(p) for p in parts)
+        checked = []
+        for p in parts:
+            try:
+                checked.append(index(p))
+            except TypeError:
+                raise PartitionError(f"part {p!r} is not an integer") from None
+        parts = tuple(checked)
         if any(p < 1 for p in parts):
             raise PartitionError(f"parts must be positive, got {parts}")
-        object.__setattr__(self, "parts", parts)
+        self.__dict__.update(parts=parts)
 
     @classmethod
     def sorted(cls, parts: Iterable[int]) -> "Partition":
@@ -169,8 +202,7 @@ def is_latin(grid: Sequence[Sequence[int]]) -> bool:
     return all(len(set(col)) == n for col in zip(*grid))
 
 
-@dataclass(frozen=True)
-class LatinSquare:
+class LatinSquare(Record):
     """An order-n latin square over symbols [n]."""
 
     order: int
@@ -179,8 +211,8 @@ class LatinSquare:
     def __init__(self, grid: Sequence[Sequence[int]]):
         if not is_latin(grid):
             raise GridError("grid is not a latin square")
-        object.__setattr__(self, "order", len(grid))
-        object.__setattr__(self, "grid", tuple(tuple(row) for row in grid))
+        self.__dict__.update(order=len(grid),
+                             grid=tuple(tuple(row) for row in grid))
 
     def cell(self, r: int, c: int) -> int:
         return self.grid[r - 1][c - 1]
@@ -190,18 +222,17 @@ class LatinSquare:
         return "\n".join(" ".join(f"{v:>{w}}" for v in row) for row in self.grid)
 
 
-@dataclass(frozen=True)
-class SubsquareBlock:
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    symbols: tuple[int, ...]
+class SubsquareBlock(Record):
+    def __init__(self, rows: tuple[int, ...], cols: tuple[int, ...],
+                 symbols: tuple[int, ...]):
+        self.__dict__.update(rows=rows, cols=cols, symbols=symbols)
 
 
-@dataclass(frozen=True)
-class SubsquareCertificate:
+class SubsquareCertificate(Record):
     """Row, column and symbol sets witnessing pairwise disjoint subsquares."""
 
-    blocks: tuple[SubsquareBlock, ...]
+    def __init__(self, blocks: tuple[SubsquareBlock, ...]):
+        self.__dict__.update(blocks=blocks)
 
     @classmethod
     def diagonal(cls, partition: Partition) -> "SubsquareCertificate":
@@ -404,8 +435,7 @@ def _check_labels(labels: Sequence[Sequence[int]],
                     f"its part's number of times")
 
 
-@dataclass(frozen=True)
-class OutlineRectangle:
+class OutlineRectangle(Record):
     """A u x v array of symbol multisets tagged with partitions (P, Q, R).
 
     The defining conditions (checked by :func:`validate_outline`):
@@ -434,11 +464,10 @@ class OutlineRectangle:
         u, v = row_partition.k, col_partition.k
         if len(cells) != u or any(len(row) != v for row in cells):
             raise GridError(f"cell array is not {u}x{v}")
-        object.__setattr__(self, "row_partition", row_partition)
-        object.__setattr__(self, "col_partition", col_partition)
-        object.__setattr__(self, "sym_partition", sym_partition)
-        object.__setattr__(self, "counts",
-                           _count_cells(cells, sym_partition.k))
+        self.__dict__.update(row_partition=row_partition,
+                             col_partition=col_partition,
+                             sym_partition=sym_partition,
+                             counts=_count_cells(cells, sym_partition.k))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -457,13 +486,12 @@ class OutlineRectangle:
                 self.sym_partition)
 
 
-@dataclass(frozen=True)
-class OutlineViolation:
-    kind: Literal["cell-size", "row-count", "col-count"]
-    where: tuple[int, ...]
-    symbol: int | None
-    expected: int
-    actual: int
+class OutlineViolation(Record):
+    def __init__(self, kind: Literal["cell-size", "row-count", "col-count"],
+                 where: tuple[int, ...], symbol: int | None,
+                 expected: int, actual: int):
+        self.__dict__.update(kind=kind, where=where, symbol=symbol,
+                             expected=expected, actual=actual)
 
 
 def validate_outline(outline: OutlineRectangle) -> list[OutlineViolation]:
@@ -535,11 +563,9 @@ def reduce(square: LatinSquare, row_partition: Partition,
 Verdict = Literal["yes", "no", "unknown"]
 
 
-@dataclass(frozen=True)
-class Existence:
-    verdict: Verdict
-    reason: str
-    detail: str
+class Existence(Record):
+    def __init__(self, verdict: Verdict, reason: str, detail: str):
+        self.__dict__.update(verdict=verdict, reason=reason, detail=detail)
 
     def __bool__(self) -> bool:
         return self.verdict == "yes"

@@ -10,7 +10,6 @@ trace of the branches taken; every output is re-verified before return.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
@@ -38,13 +37,24 @@ from .core import (
 from .lift import lift_labels_to_realization, lift_to_realization
 
 
-@dataclass
 class ConstructionTrace:
     """Ordered record of construction steps; replaying the same input
     reproduces the identical square, so the trace doubles as a receipt."""
 
-    partition: tuple[int, ...]
-    steps: list[dict] = field(default_factory=list)
+    def __init__(self, partition: tuple[int, ...],
+                 steps: list[dict] | None = None):
+        self.partition = partition
+        self.steps = [] if steps is None else steps
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.partition, self.steps) == (other.partition,
+                                                    other.steps)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"ConstructionTrace(partition={self.partition!r}, "
+                f"steps={self.steps!r})")
 
     def add(self, op: str, **params) -> None:
         self.steps.append({"op": op, **params})

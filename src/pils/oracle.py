@@ -24,9 +24,9 @@ exhaustion.  The node budget and the reported node count cover both passes.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
-from .core import LatinSquare, Partition, PreconditionError, verify_realization
+from .core import (LatinSquare, Partition, PreconditionError, Record,
+                   verify_realization)
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -36,11 +36,12 @@ DEFAULT_BUDGET = 10 ** 8
 _CALLER_FRAMES = 50
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    status: str  # "found" | "none" | "budget-exceeded"
-    square: LatinSquare | None
-    nodes: int
+class OracleResult(Record):
+    """A search's outcome; ``status`` is "found", "none" or
+    "budget-exceeded"."""
+
+    def __init__(self, status: str, square: LatinSquare | None, nodes: int):
+        self.__dict__.update(status=status, square=square, nodes=nodes)
 
     def __bool__(self) -> bool:
         return self.status == "found"
@@ -78,6 +79,8 @@ def find_realization_bruteforce(partition: Partition,
     """
     if not partition.is_non_increasing():
         raise PreconditionError("oracle expects non-increasing parts")
+    if partition.k == 0:
+        raise PreconditionError("the oracle searches non-empty partitions")
     if budget < 1:
         raise PreconditionError(f"node budget {budget} must be at least 1")
     parts = partition.parts

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,20 @@ from reference import (
     REFERENCE_SQUARE,
 )
 from util import route_a_pairs
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter: this one has loaded both already
+    code = ("import sys; before = set(sys.modules); import pils, pils.cli; "
+            "print(sorted(({'dataclasses', 'inspect'} - before) "
+            "& set(sys.modules)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 @pytest.fixture

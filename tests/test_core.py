@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +21,17 @@ from pils import (
     validate_outline,
     verify_realization,
 )
-from pils.circulant import _circulant_labels
-from pils.core import OutlineViolation, _amalgamate, _amalgamate_labels
+from pils.circulant import CirculantParams, TripleSet, _circulant_labels
+from pils.core import (
+    Existence,
+    OutlineViolation,
+    SubsquareBlock,
+    SubsquareCertificate,
+    _amalgamate,
+    _amalgamate_labels,
+)
+from pils.engine import ConstructionTrace
+from pils.oracle import OracleResult
 from reference import (
     REDUCTION_COLS,
     REDUCTION_ROWS,
@@ -57,9 +69,138 @@ class TestPartition:
         with pytest.raises(PartitionError):
             Partition([-1])
 
+    @pytest.mark.parametrize("part", [2.7, 2.0, "3", None])
+    def test_rejects_parts_that_are_not_integers(self, part):
+        # an int() conversion would truncate 2.7 to 2 and parse "3"
+        with pytest.raises(PartitionError, match=re.escape(repr(part))):
+            Partition([3, part])
+
+    def test_int_subclasses_become_plain_ints(self):
+        parts = Partition([3, True]).parts
+        assert parts == (3, 1) and type(parts[1]) is int
+
     def test_empty_partition_is_the_zero_object(self):
         p = Partition([])
         assert p.n == 0 and p.k == 0
+
+
+_BLOCK = SubsquareBlock((1,), (2,), (3,))
+
+# Each record's constructor, its fields in order, and its repr; the reprs
+# are those the records printed when they were generated dataclasses.
+RECORDS = [
+    pytest.param(
+        lambda: Partition([2, 1]), {"parts": (2, 1)},
+        "Partition(parts=(2, 1))", id="Partition"),
+    pytest.param(
+        lambda: LatinSquare([[1, 2], [2, 1]]),
+        {"order": 2, "grid": ((1, 2), (2, 1))},
+        "LatinSquare(order=2, grid=((1, 2), (2, 1)))", id="LatinSquare"),
+    pytest.param(
+        lambda: SubsquareBlock((1,), (2,), (3,)),
+        {"rows": (1,), "cols": (2,), "symbols": (3,)},
+        "SubsquareBlock(rows=(1,), cols=(2,), symbols=(3,))",
+        id="SubsquareBlock"),
+    pytest.param(
+        lambda: SubsquareCertificate((_BLOCK,)), {"blocks": (_BLOCK,)},
+        "SubsquareCertificate(blocks=(SubsquareBlock(rows=(1,), cols=(2,), "
+        "symbols=(3,)),))", id="SubsquareCertificate"),
+    pytest.param(
+        lambda: OutlineRectangle(Partition([1, 1]), Partition([1, 1]),
+                                 Partition([2]), [[[1], [1]], [[1], [1]]]),
+        {"row_partition": Partition([1, 1]), "col_partition": Partition([1, 1]),
+         "sym_partition": Partition([2]),
+         "counts": (({1: 1}, {1: 1}), ({1: 1}, {1: 1}))},
+        "OutlineRectangle(row_partition=Partition(parts=(1, 1)), "
+        "col_partition=Partition(parts=(1, 1)), "
+        "sym_partition=Partition(parts=(2,)), "
+        "counts=(({1: 1}, {1: 1}), ({1: 1}, {1: 1})))", id="OutlineRectangle"),
+    pytest.param(
+        lambda: OutlineViolation("row-count", (2,), 3, 4, 5),
+        {"kind": "row-count", "where": (2,), "symbol": 3, "expected": 4,
+         "actual": 5},
+        "OutlineViolation(kind='row-count', where=(2,), symbol=3, expected=4, "
+        "actual=5)", id="OutlineViolation"),
+    pytest.param(
+        lambda: Existence("yes", "one-part", "x"),
+        {"verdict": "yes", "reason": "one-part", "detail": "x"},
+        "Existence(verdict='yes', reason='one-part', detail='x')",
+        id="Existence"),
+    pytest.param(
+        lambda: CirculantParams(Partition([2, 1]), 3, frozenset({2}),
+                                frozenset({1}), (1, 2)),
+        {"partition": Partition([2, 1]), "t": 3, "d1": frozenset({2}),
+         "d2": frozenset({1}), "d": (1, 2)},
+        "CirculantParams(partition=Partition(parts=(2, 1)), t=3, "
+        "d1=frozenset({2}), d2=frozenset({1}), d=(1, 2))",
+        id="CirculantParams"),
+    pytest.param(
+        lambda: TripleSet(1, ((1, 2, 3),)),
+        {"index": 1, "triples": ((1, 2, 3),)},
+        "TripleSet(index=1, triples=((1, 2, 3),))", id="TripleSet"),
+    pytest.param(
+        lambda: OracleResult("budget-exceeded", None, 51),
+        {"status": "budget-exceeded", "square": None, "nodes": 51},
+        "OracleResult(status='budget-exceeded', square=None, nodes=51)",
+        id="OracleResult"),
+    pytest.param(
+        lambda: ConstructionTrace((3, 3, 3), [{"op": "base"}]),
+        {"partition": (3, 3, 3), "steps": [{"op": "base"}]},
+        "ConstructionTrace(partition=(3, 3, 3), steps=[{'op': 'base'}])",
+        id="ConstructionTrace"),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("make, fields, text", RECORDS)
+    def test_fields_equality_and_repr(self, make, fields, text):
+        record = make()
+        assert {f: getattr(record, f) for f in fields} == fields
+        assert record == make() and not record != make()
+        assert repr(record) == text
+        others = [p.values[0]() for p in RECORDS if p.values[0] is not make]
+        assert len(others) == 10
+        assert all(record != other for other in others)
+
+    @pytest.mark.parametrize("make, fields, text", RECORDS)
+    def test_hash_is_the_hash_of_the_fields(self, make, fields, text):
+        try:
+            expected = hash(tuple(fields.values()))
+        except TypeError:  # a field holds a dict or a list
+            with pytest.raises(TypeError):
+                hash(make())
+        else:
+            assert hash(make()) == expected
+
+    @pytest.mark.parametrize("make, fields, text", RECORDS[:-1])
+    def test_fields_are_frozen(self, make, fields, text):
+        record = make()
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert {f: getattr(record, f) for f in fields} == fields
+
+    @pytest.mark.parametrize("make, fields, text", RECORDS)
+    def test_pickle_and_deepcopy_round_trip(self, make, fields, text):
+        record = make()
+        for copied in (pickle.loads(pickle.dumps(record)),
+                       copy.deepcopy(record)):
+            assert copied == record and repr(copied) == text
+            assert type(copied) is type(record)
+
+    def test_trace_is_mutable_and_unhashable(self):
+        trace = ConstructionTrace((3, 3, 3))
+        assert ConstructionTrace.__hash__ is None
+        assert trace == ConstructionTrace((3, 3, 3))
+        trace.add("base", route="uniform")
+        assert trace.steps == [{"op": "base", "route": "uniform"}]
+        assert trace != ConstructionTrace((3, 3, 3))
+        assert trace == ConstructionTrace((3, 3, 3),
+                                          [{"op": "base", "route": "uniform"}])
 
 
 class TestIsLatin:

@@ -75,6 +75,10 @@ class TestBruteforce:
         assert find_realization_bruteforce(Partition([2, 1, 1])).status == \
             "none"
 
+    def test_empty_partition_is_rejected_before_the_search(self):
+        with pytest.raises(PreconditionError, match="non-empty"):
+            find_realization_bruteforce(Partition(()))
+
     def test_budget_exceeded_is_distinct(self):
         result = find_realization_bruteforce(Partition([3, 3, 3]), budget=3)
         assert result.status == "budget-exceeded"
