@@ -2,24 +2,18 @@
 
 Everything here is classical: idempotent squares of every order except 2,
 uniform realizations built over an idempotent pattern, realizations with one
-block of order s and m singletons built by prolonging a square of order m
-along s + 1 disjoint transversals, and a verified search fallback for the
-two-size partitions the main pipeline cannot reach.  For m != 2 (mod 4) the
-transversal-rich square is a group table: the cyclic one for odd m, and for
-m = 0 (mod 4) the addition table of Z_2^a x Z_o, whose transversals are the
-symbol classes of an orthogonal mate.  For m = 2 (mod 4) it is the
-idempotent square, whose diagonal is one transversal and around which a
-most-constrained-row search packs the others; where that packing gets stuck
-(high s at small m) the outline square is completed directly instead.  The
-searches are deterministic, and every call of the completion solver, from
-``ls_one_big`` (also inside the add-on share arrays) as well as from the
-two-size fallback, is recorded in ``completion_invocations`` for audit.
+block of order s and m singletons written in closed form from a partial
+orthomorphism of Z_m, and a verified search fallback for the two-size
+partitions the main pipeline cannot reach.  The one-big squares need no
+search.  The outline-completion solver is reached only from the two-size
+fallback, when the add-on bound fails; it is deterministic, and every call
+is recorded in ``completion_invocations`` for audit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .compose import _addon_bound_holds, add_on_step
 from .core import (
@@ -34,15 +28,12 @@ from .core import (
 )
 from .lift import lift_to_realization
 
-# Every use of the completion solver, for auditing which inputs reach it.
+# Every use of the completion solver, for auditing which inputs reach it:
+# only the two-size fallback calls it.
 completion_invocations: list[tuple[int, ...]] = []
 
 # Nodes the completion solver may visit before it gives up.
 _COMPLETION_NODES = 5_000_000
-# Nodes each transversal search of the packing may visit.  The hardest
-# transversal at n <= 30 takes about 13k; a hopeless search at m <= 50
-# gives up within about 1.5 s.
-_TRANSVERSAL_NODES = 200_000
 
 
 def idempotent_square(n: int) -> LatinSquare:
@@ -114,148 +105,7 @@ def _uniform_outline(a: int, k: int) -> OutlineRectangle:
 
 
 # ---------------------------------------------------------------------------
-# Group-table MOLS and transversal-rich squares
-
-
-def _mols(m: int) -> tuple[list[list[int]], list[list[int]]]:
-    """A pair of MOLS(m) for m != 2 (mod 4), 0-based symbols.
-
-    With m = 2^a * o, o odd, index i is the pair (i // o, i % o) of
-    Z_2^a x Z_o.  The first square is the group's addition table; the mate
-    adds y to theta(x), where theta multiplies the Z_2^a part by X modulo
-    X^a + X + 1 and doubles the Z_o part.  That polynomial vanishes at
-    neither 0 nor 1, so theta and theta - 1 are both bijections and the two
-    squares are orthogonal.
-    """
-    a, o = 0, m
-    while o % 2 == 0:
-        a, o = a + 1, o // 2
-    if a == 1:
-        raise PreconditionError(f"no direct-product mate for order {m}")
-    top = 1 << a
-
-    def times_x(x: int) -> int:
-        x <<= 1
-        return x ^ (top | 3) if x & top else x
-
-    first = [[(i // o ^ j // o) * o + (i + j) % o for j in range(m)]
-             for i in range(m)]
-    second = [[(times_x(i // o) ^ j // o) * o + (2 * i + j) % o
-               for j in range(m)] for i in range(m)]
-    return first, second
-
-
-def _pack_transversals(grid: Sequence[Sequence[int]], count: int,
-                       ) -> list[list[int]] | None:
-    """The main diagonal and ``count - 1`` more transversals of ``grid``, all
-    pairwise cell-disjoint; the diagonal must hold distinct symbols.
-
-    Each transversal is a column list indexed by row (0-based).  They are
-    found one at a time and never revised, each by its own search of at most
-    :data:`_TRANSVERSAL_NODES` nodes; None when a search is exhausted or
-    runs out.
-    """
-    m = len(grid)
-    # clear[v][r]: every column but the one holding symbol v + 1 in row r
-    clear = [[0] * m for _ in range(m)]
-    for r, row in enumerate(grid):
-        for c, v in enumerate(row):
-            clear[v - 1][r] = ~(1 << c)
-    free = [((1 << m) - 1) ^ (1 << r) for r in range(m)]  # cells still open
-    found = [list(range(m))]
-    while len(found) < count:
-        columns = _next_transversal(grid, clear, free)
-        if columns is None:
-            return None
-        for r, c in enumerate(columns):
-            free[r] ^= 1 << c
-        found.append(columns)
-    return found
-
-
-def _next_transversal(grid: Sequence[Sequence[int]], clear: list[list[int]],
-                      free: list[int]) -> list[int] | None:
-    """A transversal inside the open cells ``free`` (a column mask per row).
-
-    Deterministic backtracking that always branches on the most constrained
-    row: the fewest columns that are open, untaken and of an unused symbol,
-    ties to the lowest row.  Columns are tried in increasing order.
-    """
-    columns = [-1] * len(grid)
-    rows = list(range(len(grid)))  # the rows still open, increasing
-    masks = list(free)  # per open row, the columns it may still take
-    # per branching: open rows and their masks before it, the index of its
-    # row among them, and the columns not yet tried
-    stack: list[tuple[list[int], list[int], int, int]] = []
-    nodes = 0
-    while rows:
-        counts = [mask.bit_count() for mask in masks]
-        i = counts.index(min(counts))
-        stack.append((rows, masks, i, masks[i]))
-        while True:  # the next untried column, backtracking as needed
-            if not stack:
-                return None
-            rows, masks, i, options = stack[-1]
-            if options:
-                break
-            stack.pop()
-        nodes += 1
-        if nodes > _TRANSVERSAL_NODES:
-            return None
-        low = options & -options
-        stack[-1] = (rows, masks, i, options ^ low)
-        r = rows[i]
-        c = low.bit_length() - 1
-        columns[r] = c
-        keep, symbol = ~low, clear[grid[r][c] - 1]
-        rows = rows[:i] + rows[i + 1:]
-        masks = [mask & keep & symbol[row]
-                 for row, mask in zip(rows, masks[:i] + masks[i + 1:])]
-    return columns
-
-
-def _transversal_square(m: int, count: int,
-                        ) -> tuple[list[list[int]], list[list[int]]] | None:
-    """A square of order m with ``count`` disjoint transversals, the first of
-    which is the main diagonal (with distinct symbols)."""
-    if count > m:
-        return None
-    if m % 2 == 1:
-        grid = [[(i + j) % m + 1 for j in range(m)] for i in range(m)]
-        # constant-difference diagonals; difference 0 is the main diagonal
-        return grid, [[(r + d) % m for r in range(m)] for d in range(count)]
-    if m % 4 == 0:
-        first, second = _mols(m)
-        grid = [[v + 1 for v in row] for row in first]
-        transversals: list[list[int]] = [[-1] * m for _ in range(count)]
-        for i in range(m):
-            for j in range(m):
-                level = second[i][j]
-                if level < count:
-                    transversals[level][i] = j
-        return _diagonalize(grid, transversals)
-    # m = 2 mod 4: no direct-product mate; the idempotent square's diagonal
-    # is the first transversal, and the rest are packed around it
-    grid = [list(row) for row in idempotent_square(m).grid]
-    found = _pack_transversals(grid, count)
-    return None if found is None else (grid, found)
-
-
-def _diagonalize(grid: list[list[int]],
-                 transversals: list[list[int]],
-                 ) -> tuple[list[list[int]], list[list[int]]]:
-    """Permute columns so the first transversal becomes the main diagonal."""
-    m = len(grid)
-    first = transversals[0]
-    new_to_old = [0] * m
-    for r, c in enumerate(first):
-        new_to_old[r] = c
-    old_to_new = [0] * m
-    for new, old in enumerate(new_to_old):
-        old_to_new[old] = new
-    out = [[grid[r][new_to_old[c]] for c in range(m)] for r in range(m)]
-    moved = [[old_to_new[c] for c in t] for t in transversals]
-    return out, moved
+# One-big squares in closed form
 
 
 @lru_cache(maxsize=512)
@@ -263,12 +113,17 @@ def ls_one_big(s: int, m: int) -> tuple[LatinSquare, SubsquareCertificate]:
     """A realization of (s, 1^m): one order-s block plus m singletons.
 
     Normal form with the block first, on rows, columns and symbols [s].
-    Exists whenever s <= m - 1; built by prolonging a square of order m with
-    s + 1 disjoint transversals: a group table for m != 2 (mod 4), else the
-    idempotent square with transversals packed into it.  Where the packing
-    gets stuck the outline square is completed directly, which raises
-    _CompletionBudget if its search runs out.  Results are cached; they are
-    immutable values.
+    Exists whenever s <= m - 1, and is written cell by cell with no search.
+    Index the singletons' rows, columns and symbols by Z_m (singleton i on
+    row, column and symbol s + 1 + i) and let k = m - s.  The pairs
+    (t, b_t), t < k, of :func:`_orthomorphism_pairs` have distinct t, b_t
+    and b_t - t, so singleton cell (i, i + t) holds singleton i + b_t; the
+    pair (0, 0) makes the diagonal idempotent.  The s differences d >= k
+    are left over: cell (i, i + d) holds small symbol d - k + 1.  Block row
+    r holds singleton j + c_r in singleton column j, and block column r
+    singleton i + e_r in singleton row i, where c_r and e_r are the r-th
+    residues that are no b_t - t and no b_t.  The block is the cyclic
+    square.  Results are cached; they are immutable values.
     """
     if s < 0 or m < 1:
         raise PreconditionError("need s >= 0 and m >= 1")
@@ -280,43 +135,35 @@ def ls_one_big(s: int, m: int) -> tuple[LatinSquare, SubsquareCertificate]:
     if s > m - 1:
         raise PreconditionError(
             f"s = {s} exceeds m - 1 = {m - 1}; no such realization exists")
-    if s == 1:
-        square = idempotent_square(m + 1)
-        return square, verify_realization(square, Partition([1] * (m + 1)))
-
-    partition = Partition([s] + [1] * m)
-    got = _transversal_square(m, s + 1)
-    if got is not None:
-        square = _embed_block(got[0], got[1], s)
-        return square, verify_realization(square, partition)
-    outline = _complete_outline_square(partition)
-    return lift_to_realization(outline, partition)
-
-
-def _embed_block(m_grid: list[list[int]], transversals: list[list[int]],
-                 s: int) -> LatinSquare:
-    """Prolong along s off-diagonal transversals to embed an order-s block."""
-    m = len(m_grid)
-    # Relabel so the diagonal reads s+1 .. s+m, other symbols following.
-    relabel = [0] * (m + 1)
+    k = m - s
+    b = _orthomorphism_pairs(m, k)
+    e = sorted(set(range(m)).difference(b))
+    c = sorted(set(range(m)).difference((bt - t) % m
+                                        for t, bt in enumerate(b)))
+    # singleton symbols by residue, twice over, so that i + x needs no mod
+    ring = list(range(s + 1, s + m + 1)) * 2
+    grid = [[(x + y) % s + 1 for y in range(s)] + ring[cr:cr + m]
+            for x, cr in enumerate(c)]
+    # singleton row i by difference d = column - row: singleton i + b_d for
+    # d < k, then the small symbols 1..s
+    small = list(range(1, s + 1))
     for i in range(m):
-        relabel[m_grid[i][i]] = s + i + 1
-    base = [[relabel[v] for v in row] for row in m_grid]
-    n = s + m
-    grid = [[0] * n for _ in range(n)]
-    for x in range(s):
-        for y in range(s):
-            grid[x][y] = (x + y) % s + 1
-    for i in range(m):
-        for j in range(m):
-            grid[s + i][s + j] = base[i][j]
-    for c in range(1, s + 1):
-        for i, j in enumerate(transversals[c]):
-            v = base[i][j]
-            grid[s + i][s + j] = c
-            grid[s + i][c - 1] = v
-            grid[c - 1][s + j] = v
-    return LatinSquare(grid)
+        by_difference = [ring[i + bt] for bt in b] + small
+        grid.append([ring[i + er] for er in e]
+                    + by_difference[m - i:] + by_difference[:m - i])
+    square = LatinSquare(grid)
+    return square, verify_realization(square, Partition([s] + [1] * m))
+
+
+def _orthomorphism_pairs(m: int, k: int) -> list[int]:
+    """b_0 .. b_{k-1} for k <= m - 1 such that the t, the b_t and the
+    b_t - t are each pairwise distinct mod m, with b_0 = 0: a partial
+    orthomorphism of Z_m.  b_t = 2t mod m for odd m; for even m the b_t
+    run over the even residues while 2t < m (differences t), then the odd
+    ones (differences t + 1)."""
+    if m % 2:
+        return [2 * t % m for t in range(k)]
+    return [2 * t if 2 * t < m else 2 * t + 1 - m for t in range(k)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Top-level constructions: the combined circulant pipeline, the induction
 over partitions with three or more equal largest parts, one-big-block
-realizations by substitution into it, and incomplete latin squares inside
-the 2*h1 order gap.
+realizations, and incomplete latin squares inside the 2*h1 order gap.
 
 Every construction returns the square, its certificate, and a replayable
 trace of the branches taken; every output is re-verified before return.
@@ -10,13 +9,11 @@ trace of the branches taken; every output is re-verified before return.
 from __future__ import annotations
 
 import json
-from itertools import accumulate
 from typing import Sequence
 
 from .base import (
     _two_size_outline,
     _uniform_outline,
-    idempotent_square,
     ls_one_big,
     ls_uniform,
 )
@@ -31,7 +28,6 @@ from .core import (
     SubsquareCertificate,
     # unused here; perfbench's alias-rebinding test asserts this name
     reduce as reduce_square,
-    verify_realization,
     verify_subsquares,
 )
 from .lift import lift_labels_to_realization, lift_to_realization
@@ -296,47 +292,12 @@ def construct_main(partition: Partition,
 def construct_one_big(s: int, m: int,
                       ) -> tuple[LatinSquare, SubsquareCertificate,
                                  ConstructionTrace]:
-    """A realization of (s, 1^m) in normal form, the s-block first.
-
-    Where ``ls_one_big`` would search for s + 1 disjoint transversals of
-    the idempotent square of order m (m = 2 mod 4), and m >= 2s >= 6, the
-    square is built by substitution instead: :func:`construct_main` realizes
-    (s^3, 1^(m-2s)), and an idempotent square of order s written on the
-    rows, columns and symbols of blocks 2 and 3 turns each into s
-    singletons.  No idempotent square of order 2 exists, so for s = 2 and
-    m >= 10 the three 3-blocks of (3^3, 2, 1^(m-9)) are refined, and one
-    permutation of rows, columns and symbols alike moves the 2-block
-    first.  Everywhere else this is ``ls_one_big``.
-    """
-    partition = Partition((s,) + (1,) * m)
-    trace = ConstructionTrace(partition.parts)
-    if m % 4 != 2 or not (m >= 2 * s >= 6 or s == 2 and m >= 10):
-        square, certificate = ls_one_big(s, m)
-        trace.add("one-big", s=s, m=m)
-        return square, certificate, trace
-    if s == 2:
-        coarse, refined = (3, 3, 3, 2) + (1,) * (m - 9), (1, 2, 3)
-    else:
-        coarse, refined = (s, s, s) + (1,) * (m - 2 * s), (2, 3)
-    square, _, inner = construct_main(Partition(coarse))
-    trace.steps = inner.steps
-    grid = [list(row) for row in square.grid]
-    first = list(accumulate(coarse, initial=0))
-    for b in refined:
-        h, at = coarse[b - 1], first[b - 1]
-        for i, row in enumerate(idempotent_square(h).grid):
-            grid[at + i][at:at + h] = [at + v for v in row]
-    at = first[coarse.index(s)]
-    if at:  # (3^3, 2, 1^(m-9)): its 2-block moves first
-        n = len(grid)
-        order = [*range(at, at + s), *range(at), *range(at + s, n)]
-        rank = [0] * n
-        for new, old in enumerate(order):
-            rank[old] = new + 1
-        grid = [[rank[grid[r][c] - 1] for c in order] for r in order]
-    trace.add("substitute", coarse=list(coarse), blocks=list(refined))
-    square = LatinSquare(grid)
-    return square, verify_realization(square, partition), trace
+    """A realization of (s, 1^m) in normal form, the s-block first:
+    ``ls_one_big``'s closed form, with a one-step trace."""
+    square, certificate = ls_one_big(s, m)
+    trace = ConstructionTrace((s,) + (1,) * m)
+    trace.add("one-big", s=s, m=m)
+    return square, certificate, trace
 
 
 def construct_ils(n: int, orders: Sequence[int],

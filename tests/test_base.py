@@ -14,7 +14,6 @@ from pils import (
     verify_realization,
 )
 from pils import base
-from pils.base import _mols, _pack_transversals, _transversal_square
 
 
 class TestIdempotent:
@@ -63,8 +62,11 @@ class TestOneBig:
     def test_degenerate_sizes(self):
         sq, _ = ls_one_big(0, 5)
         assert sq.grid == idempotent_square(5).grid
+        # s = 1 is the closed form too: its 1-block and its singletons make
+        # it an idempotent square of order m + 1
         sq, _ = ls_one_big(1, 5)
-        assert sq.grid == idempotent_square(6).grid
+        assert sq.order == 6 and is_latin(sq.grid)
+        assert all(sq.cell(i, i) == i for i in range(1, 7))
 
     def test_two_five(self):
         sq, cert = ls_one_big(2, 5)
@@ -94,30 +96,54 @@ class TestOneBig:
                         "none"
 
 
+def singleton_diagonal(square, s: int, m: int, d: int) -> list[int]:
+    """The symbols on cells (i, i + d), i in Z_m, of the singleton grid of
+    an (s, 1^m) square in normal form."""
+    return [square.cell(s + 1 + i, s + 1 + (i + d) % m) for i in range(m)]
+
+
 class TestTransversalMachinery:
+    """The transversals that the closed form prolongs along.
+
+    ls_one_big(s, m) cuts its singleton grid into the m diagonals
+    (i, i + d): for d < k = m - s a transversal of the singletons, the
+    others one small symbol each; the pairs (t, b_t) that fill the first
+    kind are a partial orthomorphism of Z_m.
+    """
+
     @pytest.mark.parametrize("m", [*range(4, 65, 4), 256, 9, 15])
     def test_mols_orthogonal(self, m):
-        a, b = _mols(m)
-        assert is_latin([[v + 1 for v in row] for row in a])
-        assert is_latin([[v + 1 for v in row] for row in b])
-        pairs = {(a[i][j], b[i][j]) for i in range(m) for j in range(m)}
-        assert len(pairs) == m * m
-
-    def test_mols_rejects_order_two_mod_four(self):
-        with pytest.raises(PreconditionError):
-            _mols(10)
+        # the pairs give two orthogonal latin rectangles x + t and x + b_t
+        # on rows x in Z_m and columns t < k, with k = m - 1, or k = m for
+        # odd m, where b_t = 2t is a full orthomorphism and the rectangles
+        # are a pair of orthogonal latin squares
+        k = m if m % 2 else m - 1
+        b = base._orthomorphism_pairs(m, k)
+        a = [[(x + t) % m for t in range(k)] for x in range(m)]
+        o = [[(x + bt) % m for bt in b] for x in range(m)]
+        for rect in (a, o):
+            assert all(len(set(row)) == k for row in rect)
+            assert all(len({row[t] for row in rect}) == m for t in range(k))
+        pairs = {(a[x][t], o[x][t]) for x in range(m) for t in range(k)}
+        assert len(pairs) == m * k
+        # the second rectangle is the singleton grid of (1, 1^m) read by
+        # difference
+        sq, _ = ls_one_big(1, m)
+        for t in range(m - 1):
+            assert singleton_diagonal(sq, 1, m, t) == \
+                [2 + o[x][t] for x in range(m)], t
 
     @pytest.mark.parametrize("m", range(4, 33, 4))
     def test_full_transversal_set(self, m):
-        grid, transversals = _transversal_square(m, m)
-        assert is_latin(grid)
-        assert len(transversals) == m
-        assert transversals[0] == list(range(m))
-        cells = {(r, c) for t in transversals for r, c in enumerate(t)}
-        assert len(cells) == m * m
-        for t in transversals:
-            assert sorted(t) == list(range(m))
-            assert len({grid[r][c] for r, c in enumerate(t)}) == m
+        for s in range(1, m):
+            sq, _ = ls_one_big(s, m)
+            k = m - s
+            for d in range(m):
+                symbols = singleton_diagonal(sq, s, m, d)
+                if d < k:
+                    assert sorted(symbols) == list(range(s + 1, s + m + 1))
+                else:
+                    assert symbols == [d - k + 1] * m, (s, d)
 
     @pytest.mark.parametrize("m", [32, 36, 60])
     def test_one_big_where_mols_changed(self, m):
@@ -127,52 +153,64 @@ class TestTransversalMachinery:
     @pytest.mark.parametrize("m,count", [(6, 3), (10, 6), (14, 10),
                                          (18, 13), (22, 9), (26, 5)])
     def test_packing_in_idempotent_square(self, m, count):
-        grid = [list(row) for row in idempotent_square(m).grid]
-        found = _pack_transversals(grid, count)
-        assert found is not None and len(found) == count
-        assert found[0] == list(range(m))
-        for t in found:
-            assert sorted(t) == list(range(m))
-            assert len({grid[r][c] for r, c in enumerate(t)}) == m
-        for t in found[1:]:
-            assert all(c != r for r, c in enumerate(t))
-        cells = {(r, c) for t in found for r, c in enumerate(t)}
-        assert len(cells) == m * count
-        assert _pack_transversals(grid, count) == found
+        # m = 2 (mod 4), where disjoint transversals once had to be searched
+        # for: (count - 1, 1^m) packs its small symbols on count - 1
+        # off-diagonal diagonals beside the idempotent main one
+        s = count - 1
+        sq, _ = ls_one_big(s, m)
+        assert singleton_diagonal(sq, s, m, 0) == \
+            list(range(s + 1, s + m + 1))
+        small = [d for d in range(1, m)
+                 if singleton_diagonal(sq, s, m, d)[0] <= s]
+        assert small == list(range(m - s, m))
+        for c, d in enumerate(small, 1):
+            assert singleton_diagonal(sq, s, m, d) == [c] * m
+        ls_one_big.cache_clear()
+        assert ls_one_big(s, m)[0].grid == sq.grid
 
     def test_packing_gives_up_where_stuck(self):
-        grid = [list(row) for row in idempotent_square(6).grid]
-        assert _pack_transversals(grid, 4) is None
-        assert _transversal_square(6, 4) is None
+        # (3, 1^6) and (4, 1^6) are where the packing got stuck and the
+        # outline completion took over; the closed form needs neither
+        ls_one_big.cache_clear()  # build cold
+        before = len(base.completion_invocations)
+        for s in (3, 4):
+            sq, _ = ls_one_big(s, 6)
+            verify_realization(sq, Partition([s] + [1] * 6))
+        assert len(base.completion_invocations) == before
 
     def test_diagonalized_square_has_transversal_diagonal(self):
+        # the pair (0, 0) puts singleton i on (i, i)
         for m in (5, 8, 10):
-            got = _transversal_square(m, 3)
-            assert got is not None
-            grid, transversals = got
-            assert transversals[0] == list(range(m))
-            assert len({grid[i][i] for i in range(m)}) == m
+            sq, _ = ls_one_big(3, m)
+            assert singleton_diagonal(sq, 3, m, 0) == list(range(4, m + 4))
+
+
+def test_pairs_are_a_partial_orthomorphism():
+    # for every k <= m - 1 the t, the b_t and the b_t - t are each pairwise
+    # distinct mod m, and (0, 0) is among the pairs
+    for m in range(2, 101):
+        for k in range(1, m):
+            b = base._orthomorphism_pairs(m, k)
+            assert len(b) == k and b[0] == 0, (m, k)
+            assert all(0 <= bt < m for bt in b), (m, k)
+            assert len(set(b)) == k, (m, k)
+            assert len({(bt - t) % m for t, bt in enumerate(b)}) == k, (m, k)
 
 
 def test_one_big_family_up_to_order_30():
-    # the corner where the transversal packing gets stuck and the outline
-    # completion takes over: m = 2 (mod 4) with s at least this
-    corner = {6: 3, 10: 6, 14: 10}
-    ls_one_big.cache_clear()  # count every completion, not cache hits
+    # every (s, 1^m) is written in closed form: none reaches the outline
+    # completion, whose one caller is the two-size fallback
+    ls_one_big.cache_clear()  # count every build, not cache hits
     before = len(base.completion_invocations)
-    completed = set()
     try:
         for m in range(3, 29):
-            for s in range(2, min(m - 1, 30 - m) + 1):
+            for s in range(1, min(m - 1, 30 - m) + 1):
                 partition = Partition([s] + [1] * m)
                 square, _ = ls_one_big(s, m)
                 verify_realization(square, partition)
-                if len(base.completion_invocations) > before:
-                    before = len(base.completion_invocations)
-                    completed.add((s, m))
     finally:
         ls_one_big.cache_clear()
-    assert all(m % 4 == 2 and s >= corner.get(m, m) for s, m in completed)
+    assert len(base.completion_invocations) == before
 
 
 # sha256 over the completed outlines' counts: a change to the completion's

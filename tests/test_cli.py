@@ -22,7 +22,6 @@ from reference import (
     REFERENCE_OUTLINE_CELLS,
     REFERENCE_SQUARE,
 )
-from util import route_a_pairs
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -116,16 +115,13 @@ class TestConstruct:
 
     def test_exhausted_completion_budget_is_inconclusive(self, capsys,
                                                          monkeypatch):
-        # (4, 1^6) is past what the transversal packing reaches, so it goes
-        # to the outline completion; one node cannot complete it
+        # (2^3, 1^8): the pipeline rejects its rebuild and the add-on bound
+        # fails, so the two-size fallback runs the outline completion; one
+        # node cannot complete it
         from pils import base
 
         monkeypatch.setattr(base, "_COMPLETION_NODES", 1)
-        base.ls_one_big.cache_clear()
-        try:
-            assert main(["construct", "4,1^6"]) == 2
-        finally:
-            base.ls_one_big.cache_clear()
+        assert main(["construct", "2,2,2,1^8"]) == 2
         err = capsys.readouterr().err
         assert "budget of 1 nodes" in err and "internal" not in err
 
@@ -142,9 +138,8 @@ class TestConstruct:
         assert payload["trace"]["steps"]
 
     def test_one_big_route(self, capsys, monkeypatch):
-        # substitution into construct_main on the route-A pairs; ls_one_big
-        # for m != 2 (mod 4), for s = 2 below m = 10, and in the band
-        # s < m < 2s
+        # every (s, 1^m) goes to ls_one_big's closed form, never through
+        # construct_main
         from pils import engine
 
         calls = []
@@ -159,29 +154,12 @@ class TestConstruct:
 
         for name in ("construct_main", "ls_one_big"):
             monkeypatch.setattr(engine, name, counting(name))
-        route_a = set(route_a_pairs(40))
-        pairs = {(s, m) for m in range(3, 19) for s in range(2, m)} | route_a
-        for s, m in sorted(pairs):
+        pairs = [(s, m) for m in range(3, 19) for s in range(2, m)]
+        pairs += [(7, 34), (21, 30), (5, 38), (2, 46)]
+        for s, m in pairs:
             calls.clear()
             assert main(["construct", f"{s},1^{m}"]) == 0, (s, m)
-            assert calls == ["construct_main" if (s, m) in route_a
-                             else "ls_one_big"], (s, m)
-        assert len(route_a) == 89 and len(pairs - route_a) == 117
-
-    @pytest.mark.parametrize("text, coarse, blocks", [
-        ("5,1^38", [5, 5, 5] + [1] * 28, [2, 3]),
-        ("2,1^46", [3, 3, 3, 2] + [1] * 37, [1, 2, 3]),
-    ])
-    def test_one_big_trace_shows_substitution(self, capsys, tmp_path, text,
-                                               coarse, blocks):
-        assert main(["construct", text, "--trace"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["trace"]["steps"][-1] == {
-            "op": "substitute", "coarse": coarse, "blocks": blocks}
-        path = tmp_path / "grid.txt"
-        path.write_text("\n".join(" ".join(map(str, row))
-                                  for row in payload["square"]))
-        assert main(["verify", str(path), text]) == 0
+            assert calls == ["ls_one_big"], (s, m)
 
 
 class TestVerbose:

@@ -285,7 +285,7 @@ class TestBlowUp:
 # construct_main builds at n <= 24 (each cell as its ``list(items())``, so
 # dict order is pinned too)
 ADD_ON_DIGEST = \
-    "f1fb6eb36c908dba99ad4b8347ef712de78f314dee78f2b68a8d7ce49a18b1b2"
+    "7d813920b277a867843e0e0ea85b05c02907d9c02449a881afe8bb72e15b3175"
 
 
 def test_add_on_steps_are_pinned(monkeypatch):

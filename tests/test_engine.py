@@ -20,7 +20,6 @@ from pils import base
 from pils.compose import _addon_bound_holds
 from pils.engine import _rebuild_hypothesis
 from pils.oracle import enumerate_partitions
-from util import route_a_pairs
 
 
 class TestSelectT:
@@ -288,29 +287,25 @@ def assert_one_big_normal_form(grid, s: int, m: int) -> None:
 
 
 class TestConstructOneBig:
-    def test_route_a_sweep(self):
-        pairs = route_a_pairs(40)
-        assert len(pairs) == 89
-        for s, m in pairs:
-            square, certificate, trace = construct_one_big(s, m)
-            assert_one_big_normal_form(square.grid, s, m)
-            assert certificate.blocks[0].rows == tuple(range(1, s + 1))
-            assert certificate == verify_realization(
-                square, Partition((s,) + (1,) * m))
-            assert trace.steps[-1]["op"] == "substitute"
-            assert construct_one_big(s, m)[0].grid == square.grid, (s, m)
+    def test_closed_form_sweep(self):
+        # every (s, 1^m) with 3 <= m <= 40, checked without the library's
+        # verifier
+        built = 0
+        for m in range(3, 41):
+            for s in range(1, m):
+                square, certificate, trace = construct_one_big(s, m)
+                assert_one_big_normal_form(square.grid, s, m)
+                assert certificate.blocks[0].rows == tuple(range(1, s + 1))
+                assert trace.steps == [{"op": "one-big", "s": s, "m": m}]
+                built += 1
+        assert built == 779
 
-    @pytest.mark.parametrize("s, m, coarse, blocks", [
-        (3, 6, [3, 3, 3], [2, 3]),
-        (4, 10, [4, 4, 4, 1, 1], [2, 3]),
-        (2, 10, [3, 3, 3, 2, 1], [1, 2, 3]),
-    ])
-    def test_trace_names_the_refined_blocks(self, s, m, coarse, blocks):
-        _, _, trace = construct_one_big(s, m)
-        assert trace.partition == (s,) + (1,) * m
-        inner = construct_main(Partition(coarse))[2].steps
-        assert trace.steps == inner + [
-            {"op": "substitute", "coarse": coarse, "blocks": blocks}]
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(3, 200), data=st.data())
+    def test_closed_form_property(self, m, data):
+        s = data.draw(st.integers(1, m - 1), label="s")
+        square, _ = base.ls_one_big(s, m)
+        assert_one_big_normal_form(square.grid, s, m)
 
     @pytest.mark.parametrize("s, m", [
         (2, 6), (4, 6), (9, 10), (13, 14), (3, 7), (5, 8), (2, 9), (10, 12),
@@ -319,6 +314,21 @@ class TestConstructOneBig:
         square, certificate, trace = construct_one_big(s, m)
         assert (square, certificate) == base.ls_one_big(s, m)
         assert trace.steps == [{"op": "one-big", "s": s, "m": m}]
+
+    @pytest.mark.parametrize("parts", [(2,) * 34 + (1,) * 19,
+                                       (2,) * 38 + (1,) * 13],
+                             ids=["2^34 1^19", "2^38 1^13"])
+    def test_shares_of_three_equal_largest_need_no_search(self, parts):
+        # the add-on step at level u asks for one-big shares such as
+        # (7, 1^34), which a transversal packing missed and the outline
+        # completion could not finish within its budget
+        base.ls_one_big.cache_clear()  # build every share cold
+        before = len(base.completion_invocations)
+        P = Partition(parts)
+        square, _, trace = construct_main(P)
+        verify_realization(square, P)
+        assert any(step["op"] == "add-on" for step in trace.steps)
+        assert len(base.completion_invocations) == before
 
 
 class TestConstructIls:

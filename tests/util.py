@@ -84,9 +84,3 @@ def odd_r_labels(partition: Partition) -> list[list[int]]:
     return [list(map(classes.__getitem__, row))
             for row in odd_r_seed_labels(partition)]
 
-
-def route_a_pairs(max_m: int) -> list[tuple[int, int]]:
-    """The (s, m) with m <= ``max_m`` that ``construct_one_big`` builds by
-    substitution: m = 2 (mod 4), and m >= 2s >= 6 or s = 2 with m >= 10."""
-    return [(s, m) for m in range(3, max_m + 1) for s in range(2, m)
-            if m % 4 == 2 and (m >= 2 * s >= 6 or s == 2 and m >= 10)]
