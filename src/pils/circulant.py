@@ -177,7 +177,9 @@ def _circulant_labels(partition: Partition,
         raise InternalError("prolonged square is not latin")
 
     # Symbol amalgamation: singles stay, the last 2*h2 subsquare symbols
-    # collapse to a working label 0, each tail block to h1 + i - 1.
+    # collapse to a working label 0, each tail block to h1 + i - 1.  The
+    # h1 x h1 corner keeps its back-circulant symbols: no later step writes
+    # into it, and its rows and columns hold only tail symbols outside it.
     singles = h1 - 2 * parts[1]
     label_of = [0] * (n + 1)
     for v in range(1, singles + 1):
@@ -190,8 +192,9 @@ def _circulant_labels(partition: Partition,
             pos += 1
             label_of[pos] = h1 + i - 1
     labels = grid  # relabelled in place
-    for row in labels:
-        row[:] = map(label_of.__getitem__, row)
+    for x, row in enumerate(labels):
+        lo = h1 if x < h1 else 0
+        row[lo:] = map(label_of.__getitem__, row[lo:])
 
     # Four-cell trades put each block's own group symbol onto the odd
     # difference cells inside the block (and their transposes).
@@ -226,12 +229,14 @@ def _circulant_labels(partition: Partition,
                     swap(rr, cc, sym, 0)
         prefix += hi
 
-    # Resolve the 0 class back into singletons h1-2*h2+1 .. h1: the lift's
-    # _write_class puts one on each factor of its kernel, _factors, as it
-    # does for a symbol class (the only lifting step the outline still owes
-    # its symbol partition).
-    cells = [j for row in labels for j, v in enumerate(row) if v == 0]
-    _write_class(cells, 0, range(singles + 1, h1 + 1), labels)
+    # Resolve the 0 class, which lies on the body rows and columns only,
+    # back into singletons h1-2*h2+1 .. h1 (the corner holds each once per
+    # line already): the lift's _write_class puts one on each factor of its
+    # kernel, _factors, as it does for a symbol class (the only lifting
+    # step the outline still owes its symbol partition).
+    body_rows = labels[h1:]
+    cells = [j for row in body_rows for j, v in enumerate(row) if v == 0]
+    _write_class(cells, 0, range(singles + 1, h1 + 1), body_rows)
 
     sym_partition = Partition([1] * h1 + list(parts[1:]))
     _check_labels(labels, sym_partition)

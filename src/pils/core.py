@@ -124,7 +124,9 @@ class Partition(Record):
 
     def part(self, i: int) -> int:
         """Size of part i (1-based)."""
-        return self.parts[i - 1]
+        if 0 < i <= len(self.parts):
+            return self.parts[i - 1]
+        raise PartitionError(f"part {i} outside [{self.k}]")
 
     def block(self, i: int) -> range:
         """The 1-based index range covered by part i.
@@ -133,7 +135,7 @@ class Partition(Record):
         i-1 parts, so the blocks partition [n].
         """
         lo = sum(self.parts[: i - 1])
-        return range(lo + 1, lo + self.parts[i - 1] + 1)
+        return range(lo + 1, lo + self.part(i) + 1)
 
     def block_of(self, x: int) -> int:
         """The 1-based part index whose block contains x."""
@@ -237,11 +239,8 @@ class SubsquareCertificate(Record):
     @classmethod
     def diagonal(cls, partition: Partition) -> "SubsquareCertificate":
         """The normal-form certificate: block i on rows/cols/symbols P[i]."""
-        blocks = tuple(
-            SubsquareBlock(tuple(partition.block(i)), tuple(partition.block(i)),
-                           tuple(partition.block(i)))
-            for i in range(1, partition.k + 1))
-        return cls(blocks)
+        spans = (tuple(partition.block(i)) for i in range(1, partition.k + 1))
+        return cls(tuple(SubsquareBlock(b, b, b) for b in spans))
 
 
 def verify_subsquares(square: LatinSquare,

@@ -22,10 +22,12 @@ written directly as the cyclic square on l's symbols.  Every diagonal
 cell of a construction's outline square is one.  One kernel,
 :func:`_factors`, splits each flat row block and the rest of each class
 into r factors (König): an even r by one pairing walk, :func:`_pair_walk`,
-on the flat list of each edge's right vertex, an odd r first by one
-perfect matching; :func:`_write_class` puts symbol i on factor i.  On a
-valid outline rectangle no extraction, halving or matching can fail; any
-failure is an internal invariant violation.
+on the flat list of each edge's right vertex (the walk only pairs edges;
+it finds an odd degree from the edges left open), down to r = 2, whose two
+halves are the factors; an odd r first by one perfect matching.
+:func:`_write_class` puts symbol i on factor i.  On a valid outline
+rectangle no extraction, halving or matching can fail; any failure is an
+internal invariant violation.
 
 A grid of labels whose every row and column holds label l exactly r_l
 times spells out an outline with unit rows and columns, so only the symbol
@@ -269,17 +271,16 @@ def _pair_walk(right: Sequence[int], n: int,
     as closed trails, each starting at the lowest unwalked pair by walking
     edge 2q from left to right.
 
-    Returns ``(first, second, pairs)``: for every pair q, ``first[q]`` is
+    Returns ``(first, second, odd)``: for every pair q, ``first[q]`` is
     the right vertex of its edge walked from left to right and
-    ``second[q]`` that of its edge walked back; ``pairs[v]`` is the number
-    of pairs at right vertex v.  So each half lists its right vertices
-    grouped by left vertex as ``right`` does, at half the length.  A right
-    vertex of odd degree has ``pairs[v]`` = -1, and then no walk is made
-    and both halves are None; the callers raise.
+    ``second[q]`` that of its edge walked back, so each half lists its
+    right vertices grouped by left vertex as ``right`` does, at half the
+    length; ``odd`` is -1.  A right vertex of odd degree keeps an edge
+    open; then no walk is made, both halves are None and ``odd`` is the
+    lowest such vertex, and the callers raise.
     """
     partner = [0] * len(right)
     open_edge = [-1] * n
-    pairs = [0] * n
     for e, v in enumerate(right):
         f = open_edge[v]
         if f < 0:
@@ -288,12 +289,8 @@ def _pair_walk(right: Sequence[int], n: int,
             partner[e] = f
             partner[f] = e
             open_edge[v] = -1
-            pairs[v] += 1
     if max(open_edge) >= 0:
-        for v, f in enumerate(open_edge):
-            if f >= 0:
-                pairs[v] = -1
-        return None, None, pairs
+        return None, None, next(v for v, f in enumerate(open_edge) if f >= 0)
     first = [-1] * (len(right) >> 1)
     second = first[:]
     for q, v in enumerate(first):
@@ -310,7 +307,7 @@ def _pair_walk(right: Sequence[int], n: int,
             v = first[p] = right[e]
             if e == start:
                 break
-    return first, second, pairs
+    return first, second, -1
 
 
 def _halve(cells: Sequence[dict[int, int]], singles: Sequence[dict[int, int]],
@@ -364,10 +361,10 @@ def _halve(cells: Sequence[dict[int, int]], singles: Sequence[dict[int, int]],
         second.append(half and dict(half))
         spans.append((c, len(edge_sym) >> 1))
         edge_sym += odd
-    out, back, pairs = _pair_walk(edge_sym, len(singles))
+    out, back, bad = _pair_walk(edge_sym, len(singles))
     if out is None:
         raise InternalError(
-            f"symbol {pairs.index(-1)} of a line class being halved has odd "
+            f"symbol {bad} of a line class being halved has odd "
             f"residual degree; the outline being lifted is corrupt")
     spans.append((len(cells), len(out)))
     for (c, lo), (_, hi) in zip(spans, spans[1:]):
@@ -490,10 +487,11 @@ def _factors(cells: list[int], r: int, n: int) -> list[list[int]]:
 
     ``cells`` lists the r right vertices, ids in [0, n), of each left
     vertex in turn.  An even r is halved by :func:`_pair_walk`, the half
-    walked out first; an odd r > 1 first takes one
-    :func:`_perfect_matching`, which needs every right degree to be r.  A
-    right vertex of odd degree raises; :func:`_write_class` checks its
-    classes first, so only a row block's symbol class can.
+    walked out first, and at r = 2 the two halves are the factors; an odd
+    r > 1 first takes one :func:`_perfect_matching`, which needs every
+    right degree to be r.  A right vertex of odd degree raises;
+    :func:`_write_class` checks its classes first, so only a row block's
+    symbol class can.
     """
     if r & 1:
         if r == 1:
@@ -503,11 +501,13 @@ def _factors(cells: list[int], r: int, n: int) -> list[list[int]]:
         for row, j in zip(rows, match):
             row.remove(j)
         return [match, *_factors(list(chain.from_iterable(rows)), r - 1, n)]
-    first, second, pairs = _pair_walk(cells, n)
+    first, second, odd = _pair_walk(cells, n)
     if first is None:
         raise InternalError(
-            f"symbol {pairs.index(-1)} of a row block being halved has odd "
-            f"degree; the outline being lifted is corrupt")
+            f"symbol {odd} of a row block being halved has odd degree; the "
+            f"outline being lifted is corrupt")
+    if r == 2:
+        return [first, second]
     return _factors(first, r >> 1, n) + _factors(second, r >> 1, n)
 
 

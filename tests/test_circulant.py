@@ -16,6 +16,7 @@ from pils import (
 from pils.core import _amalgamate_labels, _check_labels, _group_map
 from pils.engine import attempt_pipeline
 from pils.oracle import enumerate_partitions
+from pils import circulant
 from pils.circulant import (
     _circulant_labels,
     check_circulant_properties,
@@ -115,6 +116,28 @@ class TestLabels:
         # the row keeps its labels; column 1 loses one and gains another
         with pytest.raises(InternalError, match="column 1 "):
             _check_labels(labels, syms)
+
+    @pytest.mark.parametrize("parts", [
+        (66, 15, 13, 13, 12, 11, 11, 11, 9),
+        (103, 16, 16, 15, 15, 15, 14, 14, 14, 10, 8),
+        (12, 6, 6, 5, 4, 4, 3, 3, 2),  # h1 = 2 * h2: no singles
+    ])
+    def test_corner_keeps_its_symbols_and_only_the_body_is_factored(
+            self, parts, monkeypatch):
+        real = circulant._write_class
+        calls = []
+
+        def write_class(cells, l, symbols, out):
+            calls.append((len(cells), len(out)))
+            real(cells, l, symbols, out)
+
+        monkeypatch.setattr(circulant, "_write_class", write_class)
+        labels, _ = _circulant_labels(Partition(parts))
+        n, h1, h2 = sum(parts), parts[0], parts[1]
+        assert all(labels[x][y] == (x + y) % h1 + 1
+                   for x in range(h1) for y in range(h1))
+        # label 0 is factored once, on its 2 * h2 cells in each body row
+        assert calls == [((n - h1) * 2 * h2, n - h1)]
 
 
 class TestOddROutline:
@@ -249,9 +272,9 @@ class TestPinnedOutputs:
         (circulant_digest, (3, 1, 1, 1, 1, 1),
          "65a39392e2f7e8e75209e490e48b0314328d76d18502ba691e29927a992b8b9a"),
         (circulant_digest, (66, 15, 13, 13, 12, 11, 11, 11, 9),
-         "5eb53a2114decd6b51abc18f7dbc4a29482af2113ee84b38b54f5737baf1a640"),
+         "33180c789feff589b0e2892109e9a5571646bc494a0dbdefff37ba1c32e4ae8c"),
         (circulant_digest, (103, 16, 16, 15, 15, 15, 14, 14, 14, 10, 8),
-         "881fff733d74259b71a538cd4c19b6ce6c8373953b883f5487b08ca76215ebd5"),
+         "37f15e17d4b108b17c8707aa51823af20546e8f60b327b4dc73b3790c386892e"),
         (odd_r_digest, (2, 2, 2, 2, 2, 1, 1, 1, 1, 1),
          "ec734ba94b5af36fd01335371d90c1ff8cac6a2859cb9b71cc6ca121ce76ed1d"),
         (odd_r_digest, (22, 22, 22, 15, 13, 13, 12, 11, 11, 11, 9),

@@ -57,6 +57,17 @@ class TestPartition:
         assert list(p.block(2)) == [4, 5]
         assert p.block_of(5) == 2
 
+    @pytest.mark.parametrize("i", [-1, 0, 4])
+    def test_part_and_block_reject_an_index_outside_one_to_k(self, i):
+        # a negative or zero index must not wrap round to a later part
+        p = Partition((3, 2, 1))
+        for get in (p.part, p.block):
+            with pytest.raises(PartitionError,
+                               match=rf"part {i} outside \[3\]"):
+                get(i)
+        assert [p.part(j) for j in (1, 2, 3)] == [3, 2, 1]
+        assert p.block(3) == range(6, 7)
+
     def test_raw_constructor_preserves_order(self):
         p = Partition([1, 3, 2])
         assert p.parts == (1, 3, 2)

@@ -514,9 +514,9 @@ class TestPairWalk:
     @given(case=even_multigraphs())
     def test_same_walk_as_bucket_lists(self, case):
         n, right = case
-        first, second, pairs = _pair_walk(right, n)
+        first, second, odd = _pair_walk(right, n)
         assert (first, second) == bucket_pair_walk(right, n)
-        assert pairs == [right.count(v) // 2 for v in range(n)]
+        assert odd == -1
         # each pair gives one edge to each half, and each half takes half
         # of every vertex's edges
         assert [sorted(right[2 * q:2 * q + 2]) for q in range(len(first))] \
@@ -525,8 +525,17 @@ class TestPairWalk:
         assert Counter(first) == half and Counter(second) == half
 
     def test_odd_vertices_stop_the_walk(self):
-        first, second, pairs = _pair_walk([0, 1, 1, 2], 3)
-        assert first is None and second is None and pairs == [-1, 1, -1]
+        # odd degrees at 0 and 2, then at 2 and 3: no walk, and the lowest
+        # is named by the walk and by both callers' errors
+        assert _pair_walk([0, 1, 1, 2], 3) == (None, None, 0)
+        assert _pair_walk([1, 2, 2, 2, 1, 3], 4) == (None, None, 2)
+        with pytest.raises(InternalError, match="symbol 2 of a row block "
+                           "being halved has odd degree"):
+            _factors([1, 2, 2, 2, 1, 3], 2, 4)
+        with pytest.raises(InternalError, match="symbol 2 of a line class "
+                           "being halved has odd residual degree"):
+            _halve([{1: 1, 2: 1}, {2: 1, 3: 1}, {1: 1, 2: 1}],
+                   [{s: 1} for s in range(4)])
 
 
 @st.composite
